@@ -11,6 +11,7 @@ import argparse
 import importlib.resources
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -58,15 +59,17 @@ _FIBER_KEYS = {
     "length_m",
     "birefringence_override",
 }
-_PUMP_KEYS = {
-    "center_wavelength_nm",
-    "gaussian_fwhm_nm",
-    "filter_width_nm",
-    "average_power_w",
-    "repetition_rate_hz",
-    "pulse_fwhm_s",
-    "peak_power_w",
+# Pump config key -> (PumpSpec field, factor to SI units).
+_PUMP_FIELDS = {
+    "center_wavelength_nm": ("center_wavelength", 1e-9),
+    "gaussian_fwhm_nm": ("gaussian_fwhm", 1e-9),
+    "filter_width_nm": ("filter_width", 1e-9),
+    "average_power_w": ("average_power", 1.0),
+    "repetition_rate_hz": ("repetition_rate", 1.0),
+    "pulse_fwhm_s": ("pulse_fwhm", 1.0),
+    "peak_power_w": ("peak_power", 1.0),
 }
+_PUMP_REQUIRED = {"center_wavelength_nm", "gaussian_fwhm_nm"}
 _GRID_KEYS = {"n_signal", "n_idler", "sidelobes"}
 _OUTPUT_KEYS = {"format"}
 _TOP_KEYS = {"fiber", "pump", "grid", "output", "seed"}
@@ -83,24 +86,63 @@ class RunConfig:
     seed: int = 0
 
 
+def _key_path(path, key):
+    return f"{path}.{key}" if path else key
+
+
 def _reject_unknown(mapping, allowed, path):
     for key in mapping:
         if key not in allowed:
-            raise ConfigError(f"unknown config key {path}.{key}" if path else f"unknown config key {key}")
+            raise ConfigError(f"unknown config key {_key_path(path, key)}")
+
+
+def _number(mapping, key, path, required=True):
+    """mapping[key] as a float; None if absent or null and not required.
+
+    Only finite JSON numbers pass: NaN, Infinity, booleans and strings are
+    rejected with the key path named.
+    """
+    value = mapping.get(key)
+    if value is None:
+        if required:
+            raise ConfigError(f"{path} missing key {key}")
+        return None
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{_key_path(path, key)} must be a finite number, got {value!r}")
+
+
+def _integer(mapping, key, path, default):
+    """mapping.get(key, default) as an int; fractional values are rejected."""
+    value = mapping.get(key, default)
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ConfigError(f"{_key_path(path, key)} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _section(mapping, key, allowed):
+    section = mapping.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be an object")
+    _reject_unknown(section, allowed, key)
+    return section
 
 
 def _parse_axis(mapping, path):
     if not isinstance(mapping, dict):
         raise ConfigError(f"{path} must be an object")
     _reject_unknown(mapping, _AXIS_KEYS, path)
+    core_um = _number(mapping, "core_diameter_um", path)
+    fill = _number(mapping, "air_filling_fraction", path)
     try:
-        return FiberAxisGeometry(
-            core_diameter=float(mapping["core_diameter_um"]) * 1e-6,
-            air_filling_fraction=float(mapping["air_filling_fraction"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{path} missing key {exc.args[0]}") from None
-    except (TypeError, ValueError) as exc:
+        return FiberAxisGeometry(core_diameter=core_um * 1e-6, air_filling_fraction=fill)
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -109,61 +151,33 @@ def parse_config(document):
     if not isinstance(document, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown(document, _TOP_KEYS, "")
-    try:
-        fiber_doc = document["fiber"]
-        pump_doc = document["pump"]
-    except KeyError as exc:
-        raise ConfigError(f"missing config section {exc.args[0]}") from None
+    for key in ("fiber", "pump"):
+        if key not in document:
+            raise ConfigError(f"missing config section {key}")
 
-    if not isinstance(fiber_doc, dict):
-        raise ConfigError("fiber must be an object")
-    _reject_unknown(fiber_doc, _FIBER_KEYS, "fiber")
+    fiber_doc = _section(document, "fiber", _FIBER_KEYS)
+    fast = _parse_axis(fiber_doc.get("fast_axis"), "fiber.fast_axis")
+    slow = _parse_axis(fiber_doc.get("slow_axis"), "fiber.slow_axis")
+    gamma = _number(fiber_doc, "gamma_per_w_km", "fiber")
+    length = _number(fiber_doc, "length_m", "fiber")
+    dn = _number(fiber_doc, "birefringence_override", "fiber", required=False)
     try:
-        fiber = FiberSpec(
-            fast_axis=_parse_axis(fiber_doc["fast_axis"], "fiber.fast_axis"),
-            slow_axis=_parse_axis(fiber_doc["slow_axis"], "fiber.slow_axis"),
-            gamma=float(fiber_doc["gamma_per_w_km"]),
-            length=float(fiber_doc["length_m"]),
-            birefringence_override=(
-                None
-                if fiber_doc.get("birefringence_override") is None
-                else float(fiber_doc["birefringence_override"])
-            ),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"fiber missing key {exc.args[0]}") from None
-    except (TypeError, ValueError) as exc:
+        fiber = FiberSpec(fast, slow, gamma, length, birefringence_override=dn)
+    except ValueError as exc:
         raise ConfigError(f"fiber: {exc}") from None
 
-    if not isinstance(pump_doc, dict):
-        raise ConfigError("pump must be an object")
-    _reject_unknown(pump_doc, _PUMP_KEYS, "pump")
-
-    def nm(key):
-        value = pump_doc.get(key)
-        return None if value is None else float(value) * 1e-9
-
+    pump_doc = _section(document, "pump", _PUMP_FIELDS)
+    pump_values = {}
+    for key, (name, scale) in _PUMP_FIELDS.items():
+        value = _number(pump_doc, key, "pump", required=key in _PUMP_REQUIRED)
+        pump_values[name] = None if value is None else value * scale
     try:
-        pump = PumpSpec(
-            center_wavelength=nm("center_wavelength_nm"),
-            gaussian_fwhm=nm("gaussian_fwhm_nm"),
-            filter_width=nm("filter_width_nm"),
-            average_power=pump_doc.get("average_power_w"),
-            repetition_rate=pump_doc.get("repetition_rate_hz"),
-            pulse_fwhm=pump_doc.get("pulse_fwhm_s"),
-            peak_power=pump_doc.get("peak_power_w"),
-        )
-    except (TypeError, ValueError) as exc:
+        pump = PumpSpec(**pump_values)
+    except ValueError as exc:
         raise ConfigError(f"pump: {exc}") from None
 
-    grid_doc = document.get("grid", {})
-    if not isinstance(grid_doc, dict):
-        raise ConfigError("grid must be an object")
-    _reject_unknown(grid_doc, _GRID_KEYS, "grid")
-    output_doc = document.get("output", {})
-    if not isinstance(output_doc, dict):
-        raise ConfigError("output must be an object")
-    _reject_unknown(output_doc, _OUTPUT_KEYS, "output")
+    grid_doc = _section(document, "grid", _GRID_KEYS)
+    output_doc = _section(document, "output", _OUTPUT_KEYS)
     output_format = output_doc.get("format", "json")
     if output_format not in ("csv", "json"):
         raise ConfigError(f"output.format must be csv or json, got {output_format!r}")
@@ -171,11 +185,11 @@ def parse_config(document):
     return RunConfig(
         fiber=fiber,
         pump=pump,
-        n_signal=int(grid_doc.get("n_signal", 256)),
-        n_idler=int(grid_doc.get("n_idler", 256)),
-        sidelobes=int(grid_doc.get("sidelobes", 32)),
+        n_signal=_integer(grid_doc, "n_signal", "grid", 256),
+        n_idler=_integer(grid_doc, "n_idler", "grid", 256),
+        sidelobes=_integer(grid_doc, "sidelobes", "grid", 32),
         output_format=output_format,
-        seed=int(document.get("seed", 0)),
+        seed=_integer(document, "seed", "", 0),
     )
 
 
@@ -231,7 +245,7 @@ def _cmd_dispersion(config, args):
     buffer.write("wavelength_nm,axis,n_eff,k,dk_domega,d2k_domega2\n")
     for axis in (Axis.FAST, Axis.SLOW):
         profile = axis_profile(config.fiber, axis)
-        omegas = np.linspace(profile.omegas[5], profile.omegas[-6], args.points)
+        omegas = np.linspace(*profile.span, args.points)
         for om in omegas:
             lam_nm = 2e9 * np.pi * C_LIGHT / om
             buffer.write(

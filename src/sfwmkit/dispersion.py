@@ -1,11 +1,13 @@
 """Wavevector, group velocity, GVD, zero-GVD finding and birefringence per fiber axis.
 
-All derivatives are taken by high-order centered finite differences on a smooth
-spline interpolant of the sampled effective index, so the mode solvers in
-material_optics stay black boxes.  Chromatic-dispersion profiles default to the
-calibrated vector model (HE11 core mode over the unit-cell space-filling-mode
-cladding); the axis birefringence uses the scalar LP01 model, which tracks the
-measured fast/slow index difference much better than the vector model does.
+Each profile interpolates k(omega) = n_eff(omega) omega / c with one spline
+(quintic by default) through the sampled mode indices; inverse group velocity
+and GVD are the exact first and second derivatives of that spline, valid over
+the whole sampled span, so the mode solvers in material_optics stay black
+boxes.  Chromatic-dispersion profiles default to the calibrated vector model
+(HE11 core mode over the unit-cell space-filling-mode cladding); the axis
+birefringence uses the scalar LP01 model, which tracks the measured fast/slow
+index difference much better than the vector model does.
 """
 
 import enum
@@ -13,8 +15,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
-from scipy.optimize import brentq
+from scipy.interpolate import PPoly, make_interp_spline
 
 from .constants import C_LIGHT
 from .errors import DomainError
@@ -36,16 +37,6 @@ __all__ = [
     "axis_profile",
 ]
 
-# 8th-order centered first-derivative stencil, offsets -4..+4.
-_D1_COEFFS = np.array(
-    [1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0, 4 / 5, -1 / 5, 4 / 105, -1 / 280]
-)
-# 8th-order centered second-derivative stencil, offsets -4..+4.
-_D2_COEFFS = np.array(
-    [-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72, 8 / 5, -1 / 5, 8 / 315, -1 / 560]
-)
-_OFFSETS = np.arange(-4, 5)
-
 DEFAULT_WAVELENGTH_BAND = (550e-9, 1250e-9)
 DEFAULT_GRID_POINTS = 2048
 
@@ -57,7 +48,7 @@ class Axis(str, enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class DispersionProfile:
-    """n_eff(omega) samples for one axis plus a smooth interpolant."""
+    """n_eff(omega) samples for one axis plus a spline of k(omega)."""
 
     axis: Axis
     omegas: np.ndarray  # strictly increasing angular frequencies [rad/s]
@@ -75,7 +66,7 @@ class DispersionProfile:
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "n_eff", n_eff)
         if self._spline is None:
-            spline = make_interp_spline(omegas, n_eff, k=self.order)
+            spline = make_interp_spline(omegas, n_eff * omegas / C_LIGHT, k=self.order)
             object.__setattr__(self, "_spline", spline)
 
     @classmethod
@@ -115,82 +106,59 @@ class DispersionProfile:
     def spacing(self):
         return float(self.omegas[1] - self.omegas[0])
 
+    @property
+    def span(self):
+        """(omega_lo, omega_hi): the band where k and its derivatives are valid."""
+        return float(self.omegas[0]), float(self.omegas[-1])
+
     def index_at(self, omega):
-        return self._spline(omega)
+        return self._spline(omega) * C_LIGHT / np.asarray(omega, dtype=float)
 
     def contains(self, omega):
-        return (np.min(omega) >= self.omegas[0]) and (np.max(omega) <= self.omegas[-1])
+        lo, hi = self.span
+        return (np.min(omega) >= lo) and (np.max(omega) <= hi)
 
 
-def _check_in_span(omega, profile, margin_points=0):
-    lo = profile.omegas[margin_points]
-    hi = profile.omegas[len(profile.omegas) - 1 - margin_points]
+def _check_in_span(omega, profile):
+    lo, hi = profile.span
     if np.any(np.asarray(omega) < lo) or np.any(np.asarray(omega) > hi):
-        raise DomainError(
-            f"frequency outside profile span "
-            f"[{lo:.6e}, {hi:.6e}] rad/s (margin {margin_points} points)"
-        )
+        raise DomainError(f"frequency outside profile span [{lo:.6e}, {hi:.6e}] rad/s")
+
+
+def _k_derivative(omega, profile, order):
+    _check_in_span(omega, profile)
+    out = profile._spline(omega, nu=order)
+    return float(out) if np.ndim(omega) == 0 else out
 
 
 def wavevector(omega, profile):
     """Propagation constant k = n_eff(omega) * omega / c [rad/m]."""
-    _check_in_span(omega, profile)
-    k = profile.index_at(omega) * np.asarray(omega, dtype=float) / C_LIGHT
-    return float(k) if np.ndim(omega) == 0 else k
-
-
-def _stencil(omega, profile, coeffs, h):
-    om = np.asarray(omega, dtype=float)
-    samples = profile.index_at(om[..., None] + _OFFSETS * h) * (
-        om[..., None] + _OFFSETS * h
-    ) / C_LIGHT
-    return samples @ coeffs
+    return _k_derivative(omega, profile, 0)
 
 
 def inverse_group_velocity(omega, profile):
-    """dk/domega [s/m] by an 8th-order centered stencil on the interpolant."""
-    _check_in_span(omega, profile, margin_points=5)
-    h = profile.spacing
-    out = _stencil(omega, profile, _D1_COEFFS, h) / h
-    return float(out) if np.ndim(omega) == 0 else out
+    """dk/domega [s/m], the first derivative of the k(omega) spline."""
+    return _k_derivative(omega, profile, 1)
 
 
 def gvd(omega, profile):
-    """d^2k/domega^2 [s^2/m] by an 8th-order centered stencil on the interpolant."""
-    _check_in_span(omega, profile, margin_points=5)
-    h = 1.25 * profile.spacing
-    out = _stencil(omega, profile, _D2_COEFFS, h) / h**2
-    return float(out) if np.ndim(omega) == 0 else out
+    """d^2k/domega^2 [s^2/m], the second derivative of the k(omega) spline."""
+    return _k_derivative(omega, profile, 2)
 
 
-def zero_gvd_wavelengths(profile, wavelength_band, scan_points=4000):
-    """All zero-GVD wavelengths [m] in the band, bisected to solver precision.
+def zero_gvd_wavelengths(profile, wavelength_band):
+    """All zero-GVD wavelengths [m] in the band, sorted in increasing order.
 
-    Returns wavelengths sorted in increasing order; empty list if no sign
-    change of the GVD exists in the band.
+    The roots are the real roots, inside the profile span, of the piecewise
+    polynomial second derivative of the k(omega) spline; empty list if there
+    are none in the band.
     """
     lam_lo, lam_hi = wavelength_band
     om_lo = 2 * np.pi * C_LIGHT / lam_hi
     om_hi = 2 * np.pi * C_LIGHT / lam_lo
-    # Clip to the span where the derivative stencil is defined.
-    om_lo = max(om_lo, profile.omegas[5])
-    om_hi = min(om_hi, profile.omegas[-6])
-    if om_hi <= om_lo:
-        return []
-    omegas = np.linspace(om_lo, om_hi, scan_points)
-    values = gvd(omegas, profile)
-    roots = []
-    sign = np.sign(values)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        root = brentq(
-            lambda om: gvd(om, profile),
-            omegas[i],
-            omegas[i + 1],
-            xtol=1e-3,  # rad/s; far below 0.01 nm in wavelength
-            rtol=8.9e-16,
-        )
-        roots.append(2 * np.pi * C_LIGHT / root)
-    return sorted(roots)
+    second = PPoly.from_spline(profile._spline.derivative(2), extrapolate=False)
+    roots = second.roots(discontinuity=False, extrapolate=False)
+    return sorted(float(2 * np.pi * C_LIGHT / om) for om in roots if om_lo <= om <= om_hi)
 
 
 def birefringence(wavelength, fiber: FiberSpec):

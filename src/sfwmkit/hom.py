@@ -250,7 +250,7 @@ def fit_purity(data: HomDataset, initial=HomModelParams(p=0.8, chi=0.0), max_out
             break
         chi = new_chi
     else:
-        raise FitError("chi did not converge within 100 normalization rounds")
+        raise FitError(f"chi did not converge within {max_outer} normalization rounds")
 
     fit, theta, sigma = solution
     dof = max(len(theta) - 2, 1)

@@ -18,6 +18,7 @@ the (tiny) index difference between the two polarization axes.  See the
 package README for the calibration notes.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +80,8 @@ class FiberAxisGeometry:
     air_filling_fraction: float  # in (0, 1)
 
     def __post_init__(self):
-        if self.core_diameter <= 0:
-            raise ValueError(f"core_diameter must be > 0, got {self.core_diameter}")
+        if not (math.isfinite(self.core_diameter) and self.core_diameter > 0):
+            raise ValueError(f"core_diameter must be finite and > 0, got {self.core_diameter}")
         if not 0.0 < self.air_filling_fraction < 1.0:
             raise ValueError(
                 f"air_filling_fraction must be in (0, 1), got {self.air_filling_fraction}"
@@ -103,10 +104,13 @@ class FiberSpec:
     birefringence_override: float | None = None
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.length <= 0:
-            raise ValueError(f"length must be > 0, got {self.length}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not (math.isfinite(self.length) and self.length > 0):
+            raise ValueError(f"length must be finite and > 0, got {self.length}")
+        dn = self.birefringence_override
+        if dn is not None and not math.isfinite(dn):
+            raise ValueError(f"birefringence_override must be finite, got {dn}")
 
     def axis_geometry(self, axis):
         name = getattr(axis, "value", axis)

@@ -12,8 +12,9 @@ reflects the reduced cross-polarized self-phase-modulation contribution of
 the pump at peak power P.
 """
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import brentq
@@ -73,6 +74,10 @@ class PumpSpec:
     peak_power: float | None = None
 
     def __post_init__(self):
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{spec.name} must be finite, got {value}")
         if self.center_wavelength <= 0 or self.gaussian_fwhm <= 0:
             raise ConfigError("pump center wavelength and FWHM must be positive")
         if self.filter_width is not None and self.filter_width <= 0:
@@ -192,8 +197,11 @@ def solve_phasematch(
             birefringence_value=dn,
         )
 
+    band_lo, band_hi = profile.span
     lo = omega_p + DEGENERACY_GUARD
-    hi = min(profile.omegas[-6], 2.0 * omega_p - profile.omegas[5])
+    hi = min(band_hi, 2.0 * omega_p - band_lo)
+    if 2.0 * omega_p - hi < band_lo:  # keep the idler in band under rounding
+        hi = np.nextafter(hi, lo)
     if hi <= lo:
         raise NoPhasematchError(
             f"empty signal search window for pump {pump_wavelength * 1e9:.2f} nm"

@@ -5,10 +5,10 @@ before asserting, so the whole gate reads as a checklist under pytest -v.
 Criterion 5's long-fiber parts are pinned as follows.  5b and 5c pump the
 1 m fiber at its design point, the group-velocity-matched wavelength (the
 pump_1m fixture); pumped off that point the phasematch ridge tilts and the
-purity falls.  5d checks the 100 m purity against a reference computed in
-the test itself, on a uniform grid with a closed-form pump envelope, since
-the curved ridge of any dispersion consistent with criteria 1-2 makes the
-100 m purity small rather than near 1 (see README, caveat 1).
+purity falls.  5d checks the 100 m purity against a brute-force reference
+(purity_reference.py), on a uniform grid with a closed-form pump envelope,
+since the curved ridge of any dispersion consistent with criteria 1-2 makes
+the 100 m purity small rather than near 1 (see README, caveat 1).
 """
 
 import dataclasses
@@ -17,7 +17,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from sfwmkit import cli, fiber_fit, hom
 from sfwmkit import jsa as jsamod
@@ -38,6 +37,7 @@ from sfwmkit.phasematch import (
     phasematch_curve,
     solve_phasematch,
 )
+from purity_reference import reference_purity
 
 
 def _report(criterion, ok, detail):
@@ -128,49 +128,12 @@ def test_criterion_05c_purity_increase(pump_40cm, fiber_40cm, pump_1m, fiber_1m)
     _report("5c", ok, f"purity increase {diff:+.4f}")
 
 
-def _reference_purity(pump, fiber):
-    """Brute-force purity on a uniform grid, independent of the adaptive path.
-
-    The 1024 x 1024 grid's idler axis is three times as wide as the adaptive
-    idler window, around its centre; the signal axis spans every w_s that
-    pairs with some grid idler inside the support of the pump function, so
-    no part of the ridge is clipped.  The envelope is the closed-form self-convolution of
-    the filtered Gaussian pump field, and the purity comes straight from
-    the singular values.
-    """
-    two_pi_c = 2.0 * np.pi * C_LIGHT
-    lam_c, half = pump.center_wavelength, 0.5 * pump.filter_width
-    lo, hi = two_pi_c / (lam_c + half), two_pi_c / (lam_c - half)
-    sigma = two_pi_c * pump.gaussian_fwhm / lam_c**2 / (2.0 * np.sqrt(np.log(2.0)))
-
-    window = jsamod.adaptive_grid(pump, fiber).idler_omegas
-    mid, width = 0.5 * (window[0] + window[-1]), 3.0 * (window[-1] - window[0])
-    om_i = np.linspace(mid - 0.5 * width, mid + 0.5 * width, 1024)
-    om_s = np.linspace(2.0 * lo - om_i[-1], 2.0 * hi - om_i[0], 1024)
-    mesh_s, mesh_i = np.meshgrid(om_s, om_i, indexing="ij")
-
-    # E(w+) = int A(w) A(w+ - w) dw over the overlap [a, b] of the two
-    # filter windows, with A a Gaussian of amplitude width sigma.
-    om_sum = mesh_s + mesh_i
-    a = np.maximum(lo, om_sum - hi)
-    b = np.minimum(hi, om_sum - lo)
-    envelope = np.where(
-        b > a,
-        np.exp(-((om_sum - 2.0 * pump.center_omega) ** 2) / (4.0 * sigma**2))
-        * (erf((b - 0.5 * om_sum) / sigma) - erf((a - 0.5 * om_sum) / sigma)),
-        0.0,
-    )
-    amplitude = envelope * jsamod.phasematch_function(mesh_s, mesh_i, fiber)
-    lam = np.linalg.svd(amplitude, compute_uv=False) ** 2
-    return float(np.sum(lam**2) / np.sum(lam) ** 2)
-
-
 def test_criterion_05d_purity_100m(pump_40cm, fiber_40cm):
     start = time.perf_counter()
     fiber = dataclasses.replace(fiber_40cm, length=100.0)
     purity, drift = _gated_purity(pump_40cm, fiber)
     elapsed = time.perf_counter() - start
-    reference = _reference_purity(pump_40cm, fiber)
+    reference = reference_purity(pump_40cm, fiber)
 
     # Ridge curvature d^2(dk)/dw_s^2 at fixed idler, k''_p / 2 - k''_s: the
     # reason the 100 m purity is small.

@@ -1,10 +1,16 @@
+import importlib.resources
 import json
+import re
 
 import numpy as np
 import pytest
 
 from sfwmkit import cli
 from sfwmkit.errors import ConfigError
+from sfwmkit.material_optics import FiberAxisGeometry, FiberSpec
+from sfwmkit.phasematch import PumpSpec
+
+FAST = FiberAxisGeometry(core_diameter=1.7507e-6, air_filling_fraction=0.511)
 
 
 def _run(argv, capsys):
@@ -96,6 +102,71 @@ class TestConfigParsing:
                     "output": {"format": "yaml"},
                 }
             )
+
+
+def _paper_document():
+    return json.loads(
+        importlib.resources.files("sfwmkit.presets").joinpath("paper40cm.json").read_text()
+    )
+
+
+class TestStrictNumbers:
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("fiber.length_m", float("nan")),
+            ("fiber.length_m", float("inf")),
+            ("fiber.gamma_per_w_km", float("-inf")),
+            ("fiber.slow_axis.core_diameter_um", float("nan")),
+            ("fiber.length_m", True),
+            ("fiber.length_m", "99"),
+            ("pump.center_wavelength_nm", "783"),
+            ("pump.peak_power_w", float("nan")),
+            ("grid.n_signal", 3.7),
+            ("grid.n_idler", False),
+            ("grid.sidelobes", "32"),
+            ("seed", 0.5),
+        ],
+    )
+    def test_bad_value_rejected_with_key_path(self, path, value):
+        document = _paper_document()
+        *parents, key = path.split(".")
+        section = document
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)} "):
+            cli.parse_config(document)
+
+    def test_json_nan_literal_rejected_on_load(self, tmp_path):
+        path = tmp_path / "nan.json"
+        text = json.dumps(_paper_document()).replace('"length_m": 0.4', '"length_m": NaN')
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=r"fiber\.length_m"):
+            cli.load_config(str(path))
+
+    def test_integral_float_accepted(self):
+        document = _paper_document()
+        document["grid"]["n_signal"] = 128.0
+        assert cli.parse_config(document).n_signal == 128
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FiberAxisGeometry(core_diameter=float("nan"), air_filling_fraction=0.5),
+            lambda: FiberSpec(FAST, FAST, gamma=float("inf"), length=0.4),
+            lambda: FiberSpec(FAST, FAST, gamma=99.0, length=float("nan")),
+            lambda: FiberSpec(
+                FAST, FAST, gamma=99.0, length=0.4, birefringence_override=float("nan")
+            ),
+            lambda: PumpSpec(783e-9, float("inf")),
+            lambda: PumpSpec(783e-9, 20e-9, filter_width=float("nan")),
+            lambda: PumpSpec(783e-9, 20e-9, peak_power=float("inf")),
+        ],
+    )
+    def test_library_specs_reject_non_finite(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
 
 
 class TestExitCodes:

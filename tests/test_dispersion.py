@@ -108,6 +108,13 @@ class TestPaperFiberProfile:
         assert len(short) == 1
         assert 725e-9 < short[0] < 775e-9
 
+    def test_zero_gvd_root_independent_of_band(self, fiber_40cm):
+        profile = disp.axis_profile(fiber_40cm, disp.Axis.FAST)
+        narrow = disp.zero_gvd_wavelengths(profile, (560e-9, 1000e-9))
+        full = disp.zero_gvd_wavelengths(profile, disp.DEFAULT_WAVELENGTH_BAND)
+        assert len(narrow) == 1
+        assert full == pytest.approx(narrow, rel=1e-12)
+
     def test_interpolation_matches_solver_at_midpoints(self, fiber_40cm):
         from sfwmkit.material_optics import he11_effective_index
 
@@ -123,9 +130,12 @@ class TestPaperFiberProfile:
         profile = disp.axis_profile(fiber_40cm, disp.Axis.FAST)
         with pytest.raises(DomainError):
             disp.wavevector(profile.omegas[0] * 0.9, profile)
-        with pytest.raises(DomainError):
-            # Inside the span but within the derivative stencil margin.
-            disp.inverse_group_velocity(profile.omegas[2], profile)
+        # The derivatives are valid over the whole span and nowhere beyond it.
+        lo, hi = profile.omegas[0], profile.omegas[-1]
+        for derivative in (disp.inverse_group_velocity, disp.gvd):
+            for outside in (np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)):
+                with pytest.raises(DomainError):
+                    derivative(outside, profile)
 
     def test_profile_cache_returns_same_object(self, fiber_40cm):
         a = disp.axis_profile(fiber_40cm, disp.Axis.FAST)

@@ -167,6 +167,16 @@ class TestFitPurity:
         result = hom.fit_purity(data)
         assert result.p_at_boundary
 
+    def test_nonconvergence_names_round_limit(self):
+        # chi moves from its 0 start to 0.07 in the first round, so one round
+        # cannot converge.
+        params = hom.HomModelParams(p=0.86, chi=0.07)
+        data = hom.simulate_counts(
+            params, THETAS, 5e4, 60.0, REP_RATE, seed=3, noiseless=True
+        )
+        with pytest.raises(FitError, match="within 1 normalization rounds"):
+            hom.fit_purity(data, max_outer=1)
+
     def test_too_few_rows_raises(self):
         params = hom.HomModelParams(p=0.8, chi=0.0)
         data = hom.simulate_counts(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from sfwmkit import jsa as jsamod
 from sfwmkit.constants import C_LIGHT
 from sfwmkit.errors import GridError
 from sfwmkit.phasematch import PumpSpec
+from purity_reference import reference_purity
 
 
 def _normalized_jsa(amplitude, grid):
@@ -73,12 +76,21 @@ class TestPumpFunction:
         beyond = 2 * hi_edge + 1e11
         assert jsamod.pump_function(beyond, pump) == 0.0
 
-    def test_refinement_convergence(self):
-        pump = PumpSpec(783e-9, 20e-9, filter_width=8e-9)
-        om = 2 * pump.center_omega + 1.5e13
-        coarse = jsamod.pump_function(om, pump, quadrature_points=513)
-        fine = jsamod.pump_function(om, pump, quadrature_points=4097)
-        assert coarse == pytest.approx(fine, rel=1e-5)
+    @pytest.mark.parametrize("filter_nm", [8.0, 10.0])
+    def test_filtered_matches_dense_quadrature(self, filter_nm):
+        # Independent reference: trapezoid rule for int A(x) A(w+ - x) dx on
+        # a dense grid over the filter window, with A the windowed pump field.
+        pump = PumpSpec(783e-9, 20e-9, filter_width=filter_nm * 1e-9)
+        lo = 2 * np.pi * C_LIGHT / (783e-9 + 0.5 * pump.filter_width)
+        hi = 2 * np.pi * C_LIGHT / (783e-9 - 0.5 * pump.filter_width)
+        x = np.linspace(lo, hi, 100_001)
+        field = jsamod.pump_amplitude(x, pump)
+        probes = np.linspace(2 * lo, 2 * hi, 50)
+        reference = np.array(
+            [np.trapezoid(field * jsamod.pump_amplitude(om - x, pump), x) for om in probes]
+        )
+        closed = jsamod.pump_function(probes, pump)
+        assert np.abs(closed - reference).max() < 1e-4 * reference.max()
 
 
 class TestPhasematchFunction:
@@ -189,6 +201,16 @@ class TestSchmidt:
             )
         )
         assert abs(base.purity - doubled.purity) < 1e-3
+
+    def test_long_fiber_matches_uniform_reference(self, pump_40cm, fiber_40cm):
+        # At 100 m the adaptive grid must hold the whole curved ridge: a
+        # clipped or misplaced axis moves the purity by several per cent.
+        fiber = dataclasses.replace(fiber_40cm, length=100.0)
+        grid = jsamod.adaptive_grid(pump_40cm, fiber, 256, 256)
+        purity = jsamod.schmidt_decompose(
+            jsamod.build_jsa(pump_40cm, fiber, grid=grid)
+        ).purity
+        assert purity == pytest.approx(reference_purity(pump_40cm, fiber), rel=0.02)
 
     def test_svd_reconstruction(self, pump_40cm, fiber_40cm):
         jsa = jsamod.build_jsa(pump_40cm, fiber_40cm)
