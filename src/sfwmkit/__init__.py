@@ -6,8 +6,6 @@ from .material_optics import (
     FiberSpec,
     SellmeierModel,
     cladding_index,
-    fsm_cladding_index,
-    he11_effective_index,
     lp01_effective_index,
     silica_index,
     unit_cell_radii,

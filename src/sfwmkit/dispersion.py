@@ -1,13 +1,13 @@
 """Wavevector, group velocity, GVD, zero-GVD finding and birefringence per fiber axis.
 
-Each profile interpolates k(omega) = n_eff(omega) omega / c with one spline
-(quintic by default) through the sampled mode indices; inverse group velocity
-and GVD are the exact first and second derivatives of that spline, valid over
-the whole sampled span, so the mode solvers in material_optics stay black
-boxes.  Chromatic-dispersion profiles default to the calibrated vector model
-(HE11 core mode over the unit-cell space-filling-mode cladding); the axis
-birefringence uses the scalar LP01 model, which tracks the measured fast/slow
-index difference much better than the vector model does.
+Each profile interpolates k(omega) = n_eff(omega) omega / c with one quintic
+spline through the sampled mode indices; inverse group velocity and GVD are
+the exact first and second derivatives of that spline, valid over the whole
+sampled span, so the mode solvers in material_optics stay black boxes.
+Chromatic-dispersion profiles use the calibrated vector model (HE11 core mode
+over the unit-cell space-filling-mode cladding); the axis birefringence uses
+the scalar LP01 model, which tracks the measured fast/slow index difference
+much better than the vector model does.
 """
 
 import enum
@@ -19,12 +19,7 @@ from scipy.interpolate import PPoly, make_interp_spline
 
 from .constants import C_LIGHT
 from .errors import DomainError
-from .material_optics import (
-    FiberSpec,
-    he11_effective_index_grid,
-    lp01_effective_index,
-    lp01_effective_index_grid,
-)
+from .material_optics import FiberSpec, he11_effective_index_grid, lp01_effective_index
 
 __all__ = [
     "Axis",
@@ -39,6 +34,7 @@ __all__ = [
 
 DEFAULT_WAVELENGTH_BAND = (550e-9, 1250e-9)
 DEFAULT_GRID_POINTS = 2048
+_SPLINE_ORDER = 5
 
 
 class Axis(str, enum.Enum):
@@ -53,7 +49,6 @@ class DispersionProfile:
     axis: Axis
     omegas: np.ndarray  # strictly increasing angular frequencies [rad/s]
     n_eff: np.ndarray
-    order: int = 5
     _spline: object = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -66,7 +61,7 @@ class DispersionProfile:
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "n_eff", n_eff)
         if self._spline is None:
-            spline = make_interp_spline(omegas, n_eff * omegas / C_LIGHT, k=self.order)
+            spline = make_interp_spline(omegas, n_eff * omegas / C_LIGHT, k=_SPLINE_ORDER)
             object.__setattr__(self, "_spline", spline)
 
     @classmethod
@@ -76,27 +71,15 @@ class DispersionProfile:
         axis=Axis.FAST,
         wavelength_band=DEFAULT_WAVELENGTH_BAND,
         n_points=DEFAULT_GRID_POINTS,
-        order=5,
-        solver="vector",
     ):
-        """Sample the mode solver over the band and wrap it in a profile.
-
-        solver="vector" (default) uses the exact HE11/space-filling-mode
-        model; solver="scalar" uses the weakly-guiding LP01 model with a
-        volume-averaged cladding.
-        """
+        """Sample the HE11/space-filling-mode solver over the band as a profile."""
         lam_lo, lam_hi = wavelength_band
         omegas = np.linspace(
             2 * np.pi * C_LIGHT / lam_hi, 2 * np.pi * C_LIGHT / lam_lo, n_points
         )
         wavelengths = 2 * np.pi * C_LIGHT / omegas
-        if solver == "vector":
-            n_eff = he11_effective_index_grid(wavelengths, geometry)
-        elif solver == "scalar":
-            n_eff = lp01_effective_index_grid(wavelengths, geometry)
-        else:
-            raise ValueError(f"unknown solver {solver!r}; use 'vector' or 'scalar'")
-        return cls(axis=Axis(axis), omegas=omegas, n_eff=n_eff, order=order)
+        n_eff = he11_effective_index_grid(wavelengths, geometry)
+        return cls(axis=Axis(axis), omegas=omegas, n_eff=n_eff)
 
     @classmethod
     def from_fiber(cls, fiber: FiberSpec, axis=Axis.FAST, **kwargs):
@@ -176,14 +159,9 @@ def birefringence(wavelength, fiber: FiberSpec):
 
 
 @functools.lru_cache(maxsize=32)
-def _cached_profile(geometry, axis, wavelength_band, n_points, order, solver):
+def _cached_profile(geometry, axis, wavelength_band, n_points):
     return DispersionProfile.from_geometry(
-        geometry,
-        axis=axis,
-        wavelength_band=wavelength_band,
-        n_points=n_points,
-        order=order,
-        solver=solver,
+        geometry, axis=axis, wavelength_band=wavelength_band, n_points=n_points
     )
 
 
@@ -192,8 +170,6 @@ def axis_profile(
     axis=Axis.FAST,
     wavelength_band=DEFAULT_WAVELENGTH_BAND,
     n_points=DEFAULT_GRID_POINTS,
-    order=5,
-    solver="vector",
 ):
     """Memoized dispersion profile for one axis of a fiber.
 
@@ -202,5 +178,5 @@ def axis_profile(
     are cached on the (hashable) geometry and grid parameters.
     """
     return _cached_profile(
-        fiber.axis_geometry(axis), Axis(axis), tuple(wavelength_band), n_points, order, solver
+        fiber.axis_geometry(axis), Axis(axis), tuple(wavelength_band), n_points
     )

@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class ModeCutoffError(RuntimeError):
-    """No guided LP01 root was found in the search bracket."""
+    """A mode solver (LP01, HE11 or FSM) found no root in its analytic bracket."""
 
 
 class ConfigError(ValueError):

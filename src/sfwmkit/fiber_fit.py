@@ -202,19 +202,18 @@ def fit_geometry(
     best = None
     for jd, jf in jitters[: max(1, n_starts)]:
         start = np.clip(x0 * np.array([1.0 + jd, 1.0 + jf]), lo, hi)
-        try:
-            fit = least_squares(
-                objective,
-                x0=start,
-                bounds=(lo, hi),
-                method="trf",
-                xtol=1e-6,
-                ftol=1e-10,
-                gtol=1e-10,
-                diff_step=1e-4,
-            )
-        except Exception:  # solver blowup at a pathological start
-            continue
+        # Package errors inside the model become penalty residuals in
+        # _model_residuals; anything else is a bug and propagates.
+        fit = least_squares(
+            objective,
+            x0=start,
+            bounds=(lo, hi),
+            method="trf",
+            xtol=1e-6,
+            ftol=1e-10,
+            gtol=1e-10,
+            diff_step=1e-4,
+        )
         if not fit.success:
             continue
         key = (fit.cost, fit.x[0], fit.x[1])

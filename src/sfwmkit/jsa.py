@@ -284,7 +284,10 @@ def build_jsa(
         peak_power = resolve_peak_power(pump)
     if grid is None:
         grid = adaptive_grid(pump, fiber, peak_power=peak_power)
-    omega_s, omega_i = grid.meshes()
+    # Signal along axis 0, idler along axis 1; only the pump term needs the
+    # full 2-D mesh, so k(omega_s) and k(omega_i) are evaluated once per axis.
+    omega_s = grid.signal_omegas[:, None]
+    omega_i = grid.idler_omegas[None, :]
     envelope = pump_function(omega_s + omega_i, pump)
     if not np.any(envelope > 0):
         raise GridError(

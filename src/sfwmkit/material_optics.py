@@ -16,13 +16,20 @@ scalar family places the short-wavelength zero-GVD point ~70 nm too high for
 this fiber; the vector family reproduces it, at the cost of overestimating
 the (tiny) index difference between the two polarization axes.  See the
 package README for the calibration notes.
+
+All three mode solvers (LP01, FSM, HE11) work on whole wavelength arrays at
+once: each brackets its root analytically and hands the bracket to one shared
+root finder, ``_bracketed_root`` (Chandrupatla's method), which checks that
+every root converged strictly inside its bracket.  LP01 and HE11 bracket the
+transverse core number u below min(V, j01); the FSM lies between n_silica and
+the first pole of its characteristic function, found once per geometry.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 from scipy.special import i0, i1, j0, j1, jn_zeros, k0, k1, y0, y1
 
 from .constants import SILICA_SELLMEIER, SILICA_VALID_RANGE
@@ -36,10 +43,8 @@ __all__ = [
     "silica_index",
     "cladding_index",
     "lp01_effective_index",
-    "lp01_effective_index_grid",
     "unit_cell_radii",
-    "fsm_cladding_index",
-    "he11_effective_index",
+    "fsm_cladding_index_grid",
     "he11_effective_index_grid",
 ]
 
@@ -157,76 +162,57 @@ def _v_number(wavelength, geometry, n_core, n_clad):
 
 def _char_of_u(u, v):
     """LP01 characteristic u J1(u)/J0(u) - w K1(w)/K0(w), w = sqrt(v^2 - u^2)."""
-    w = np.sqrt(v * v - u * u)
-    return u * j1(u) / j0(u) - w * k1(w) / k0(w)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = np.sqrt(v * v - u * u)
+        return u * j1(u) / j0(u) - w * k1(w) / k0(w)
+
+
+def _bracketed_root(char, lo, hi, args, what):
+    """Root of char(x, *args) in (lo, hi), elementwise over broadcast arrays.
+
+    Precondition: char is finite at both ends and changes sign across the
+    bracket at every element.  Chandrupatla's method (scipy's find_root)
+    converges to a few ulp.  Postcondition, checked rather than trusted: every
+    element converged, its root lies strictly inside (lo, hi) and its final
+    bracket still changes sign.  Raises ModeCutoffError naming `what` if
+    either fails.
+    """
+    res = find_root(char, (lo, hi), args=args)
+    f_lo, f_hi = res.f_bracket
+    ok = res.success & (lo < res.x) & (res.x < hi) & (np.sign(f_lo) != np.sign(f_hi))
+    if not np.all(ok):
+        raise ModeCutoffError(
+            f"no {what} root in its bracket at {np.size(ok) - np.count_nonzero(ok)} "
+            f"of {np.size(ok)} points (find_root status {np.unique(res.status)})"
+        )
+    return res.x
+
+
+def _guided_u_top(v):
+    """Top of the fundamental-mode bracket in the transverse core number u.
+
+    The weakly guiding LP01 root and the HE11 root both lie at u < min(V, j01),
+    where j01 is the first zero of J0.
+    """
+    return np.minimum(v, _J0_FIRST_ZERO) * (1.0 - 1e-12)
 
 
 def lp01_effective_index(wavelength, geometry):
     """Scalar LP01 effective index from the weakly guiding characteristic equation.
 
-    Brackets the fundamental root by scanning 1e4 effective-index candidates
-    between n_clad and n_core and bisecting the sign change nearest n_core.
-    Refined to relative tolerance 1e-12.
+    Accepts a scalar or an array of vacuum wavelengths [m] and returns a float
+    or an array.  The fundamental root is bracketed analytically in the
+    transverse core number, u in (1e-9, min(V, j01)(1 - 1e-12)), inside which
+    the characteristic function rises from negative to positive.
     """
-    n_core = silica_index(wavelength)
-    n_clad = cladding_index(wavelength, geometry.air_filling_fraction)
-    v = _v_number(wavelength, geometry, n_core, n_clad)
-    if not v > 0:
-        raise ModeCutoffError(f"nonpositive V number ({v}) -- mode cutoff")
-
-    ka = np.pi * geometry.core_diameter / wavelength
-
-    def char_of_neff(n_eff):
-        u = ka * np.sqrt(n_core**2 - n_eff**2)
-        return _char_of_u(u, v)
-
-    margin = 1e-9 * (n_core - n_clad)
-    candidates = np.linspace(n_clad + margin, n_core - margin, 10_000)
-    values = char_of_neff(candidates)
-    finite = np.isfinite(values)
-    sign = np.sign(values)
-    # Sign changes between consecutive finite samples, scanned from n_core down.
-    flips = np.nonzero(
-        (sign[:-1] * sign[1:] < 0) & finite[:-1] & finite[1:]
-    )[0]
-    if len(flips) == 0:
-        raise ModeCutoffError(
-            f"no guided LP01 root between n_clad={n_clad:.6f} and n_core={n_core:.6f}"
-        )
-    i = flips[-1]  # nearest n_core: the fundamental mode
-    n_eff = brentq(
-        char_of_neff, candidates[i], candidates[i + 1], xtol=1e-15, rtol=1e-14
-    )
-    return float(n_eff)
-
-
-def lp01_effective_index_grid(wavelengths, geometry, iterations=90):
-    """Vectorized LP01 solve over an array of wavelengths.
-
-    Uses the analytic bracket for the fundamental root, u in (0, min(V, j01)),
-    inside which the characteristic function is strictly increasing, and runs a
-    fixed-count bisection over all wavelengths at once. Agrees with
-    lp01_effective_index to well below 1e-12 relative.
-    """
-    wl = np.asarray(wavelengths, dtype=float)
-    n_core = np.asarray(silica_index(wl))
-    n_clad = np.asarray(cladding_index(wl, geometry.air_filling_fraction))
+    wl = np.asarray(wavelength, dtype=float)
+    n_core = silica_index(wl)
+    n_clad = cladding_index(wl, geometry.air_filling_fraction)
     v = _v_number(wl, geometry, n_core, n_clad)
-    if np.any(v <= 0):
-        raise ModeCutoffError("nonpositive V number -- mode cutoff")
-
-    hi = np.minimum(v, _J0_FIRST_ZERO) * (1.0 - 1e-12)
-    lo = np.full_like(hi, 1e-9)
-    if np.any(_char_of_u(lo, v) >= 0) or np.any(_char_of_u(hi, v) <= 0):
-        raise ModeCutoffError("LP01 bracket failed; no guided root")
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        below = _char_of_u(mid, v) < 0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    u = 0.5 * (lo + hi)
+    u = _bracketed_root(_char_of_u, 1e-9, _guided_u_top(v), (v,), "LP01")
     ka = np.pi * geometry.core_diameter / wl
-    return np.sqrt(n_core**2 - (u / ka) ** 2)
+    n_eff = np.sqrt(n_core**2 - (u / ka) ** 2)
+    return float(n_eff) if np.ndim(wavelength) == 0 else n_eff
 
 
 # --------------------------------------------------------------------------
@@ -296,99 +282,51 @@ def _he11_char(n_eff, k0_, radius, n_core, n_clad):
         ) ** 2
 
 
-def _first_flip_from_top(values):
-    """Index of the first sign change (scanning axis 0 downward in n_eff).
+def _fsm_pole_char(x, rho):
+    """Y1(x) J0(rho x) - J1(x) Y0(rho x): the denominator of _fsm_char at ks R = x."""
+    return y1(x) * j0(rho * x) - j1(x) * y0(rho * x)
 
-    values[j, i] are characteristic samples at descending n_eff candidates;
-    returns per-column candidate index or -1 when no sign change exists.
+
+def fsm_cladding_index_grid(wavelengths, geometry):
+    """Unit-cell FSM cladding index over an array of wavelengths [m].
+
+    The FSM is the root of _fsm_char nearest n_silica.  Below it in n_eff
+    lies the first pole, at ks R = x*, the first zero of _fsm_pole_char;
+    x* depends only on rho = r_hole/R and lies in (0, pi/(2(1 - rho)))
+    (x*(1 - rho) rises from 0.82 to 1.56 as the fill goes from 0.001 to the
+    close-packing limit), so it is solved once per geometry, from x = 1e-6
+    where the cross product is large and negative.  The FSM bracket is then
+    n_eff in (max(1, sqrt(n_si^2 - (x*/(R k0))^2)) + margin, n_si - margin).
     """
-    finite = np.isfinite(values)
-    sign = np.sign(values)
-    flips = (sign[:-1] * sign[1:] < 0) & finite[:-1] & finite[1:]
-    any_flip = flips.any(axis=0)
-    first = flips.argmax(axis=0)
-    return np.where(any_flip, first, -1)
-
-
-def _bisect_grid(char, lo, hi, iterations):
-    f_lo = char(lo)
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        f_mid = char(mid)
-        same = np.sign(f_mid) == np.sign(f_lo)
-        lo = np.where(same, mid, lo)
-        f_lo = np.where(same, f_mid, f_lo)
-        hi = np.where(same, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-def fsm_cladding_index_grid(wavelengths, geometry, scan_points=800, iterations=70):
-    """Unit-cell FSM cladding index over an array of wavelengths [m]."""
     wl = np.atleast_1d(np.asarray(wavelengths, dtype=float))
-    n_si = np.asarray(silica_index(wl))
+    n_si = silica_index(wl)
     k0_ = 2.0 * np.pi / wl
     r_hole, r_cell = unit_cell_radii(geometry)
-
-    # Scan n_eff candidates from just below n_si down toward 1; the FSM is
-    # the root closest to n_si.
-    t = np.linspace(1.0 - 1e-9, 1e-9, scan_points)[:, None]
-    candidates = 1.0 + t * (n_si[None, :] - 1.0)
-    values = _fsm_char(candidates, k0_[None, :], n_si[None, :], r_hole, r_cell)
-    first = _first_flip_from_top(values)
-    if np.any(first < 0):
-        raise ModeCutoffError("no space-filling-mode root found in (1, n_silica)")
-    cols = np.arange(len(wl))
-    hi = candidates[first, cols]
-    lo = candidates[first + 1, cols]
-    root = _bisect_grid(
-        lambda n: _fsm_char(n, k0_, n_si, r_hole, r_cell), lo, hi, iterations
+    rho = r_hole / r_cell
+    x_top = 0.5 * np.pi / (1.0 - rho)
+    x_pole = float(_bracketed_root(_fsm_pole_char, 1e-6, x_top, (rho,), "FSM pole"))
+    margin = 1e-9 * (n_si - 1.0)
+    lo = np.sqrt(np.maximum(n_si**2 - (x_pole / (r_cell * k0_)) ** 2, 1.0)) + margin
+    return _bracketed_root(
+        _fsm_char, lo, n_si - margin, (k0_, n_si, r_hole, r_cell), "space-filling-mode"
     )
-    return root
 
 
-def fsm_cladding_index(wavelength, geometry):
-    """Unit-cell FSM cladding index at a single vacuum wavelength [m]."""
-    return float(fsm_cladding_index_grid(np.array([wavelength]), geometry)[0])
+def he11_effective_index_grid(wavelengths, geometry):
+    """Exact HE11 effective index over an array of wavelengths [m], FSM cladding.
 
-
-def he11_effective_index_grid(
-    wavelengths, geometry, scan_points=600, iterations=70, cladding=None
-):
-    """Exact HE11 effective index over an array of wavelengths [m].
-
-    The cladding index defaults to the unit-cell FSM; pass `cladding` (array
-    matching wavelengths) to use a different model. The fundamental root is
-    the sign change nearest n_core in a descending candidate scan, refined by
-    fixed-count bisection (resolution ~ (n_core - n_clad)/2^iterations).
+    The fundamental root lies at u < min(V, j01), the LP01 bracket; mapped to
+    n_eff and kept a margin inside (n_clad, n_core), the bracket is
+    n_eff in (max(sqrt(n_core^2 - (u_top/(a k0))^2), n_clad + margin), n_core - margin).
     """
     wl = np.atleast_1d(np.asarray(wavelengths, dtype=float))
-    n_core = np.asarray(silica_index(wl))
-    if cladding is None:
-        n_clad = fsm_cladding_index_grid(wl, geometry)
-    else:
-        n_clad = np.asarray(cladding, dtype=float)
-    if np.any(n_clad >= n_core):
-        raise ModeCutoffError("cladding index reached the core index -- no guiding")
+    n_core = silica_index(wl)
+    n_clad = fsm_cladding_index_grid(wl, geometry)
     radius = 0.5 * geometry.core_diameter
     k0_ = 2.0 * np.pi / wl
-
-    t = np.linspace(1.0 - 1e-9, 1e-9, scan_points)[:, None]
-    candidates = n_clad[None, :] + t * (n_core - n_clad)[None, :]
-    values = _he11_char(
-        candidates, k0_[None, :], radius, n_core[None, :], n_clad[None, :]
+    u_top = _guided_u_top(_v_number(wl, geometry, n_core, n_clad))
+    margin = 1e-9 * (n_core - n_clad)
+    lo = np.maximum(np.sqrt(n_core**2 - (u_top / (radius * k0_)) ** 2), n_clad + margin)
+    return _bracketed_root(
+        _he11_char, lo, n_core - margin, (k0_, radius, n_core, n_clad), "HE11"
     )
-    first = _first_flip_from_top(values)
-    if np.any(first < 0):
-        raise ModeCutoffError("no HE11 root between n_clad and n_core")
-    cols = np.arange(len(wl))
-    hi = candidates[first, cols]
-    lo = candidates[first + 1, cols]
-    root = _bisect_grid(
-        lambda n: _he11_char(n, k0_, radius, n_core, n_clad), lo, hi, iterations
-    )
-    return root
-
-
-def he11_effective_index(wavelength, geometry):
-    """Exact HE11 effective index (FSM cladding) at one vacuum wavelength [m]."""
-    return float(he11_effective_index_grid(np.array([wavelength]), geometry)[0])

@@ -52,6 +52,9 @@ GAUSSIAN_PULSE_SHAPE_FACTOR = float(np.sqrt(np.pi / (4.0 * np.log(2.0))))
 # Guard band keeping the solver away from the degenerate point [rad/s].
 DEGENERACY_GUARD = 2.0 * np.pi * 2.0e12
 
+# Signal samples of the dk scan that brackets the sideband nearest degeneracy.
+_SCAN_POINTS = 2000
+
 
 @dataclass(frozen=True)
 class PumpSpec:
@@ -170,7 +173,7 @@ def delta_k(
 
 
 def solve_phasematch(
-    pump_wavelength, fiber: FiberSpec, peak_power=0.0, scan_points=2000, profile=None
+    pump_wavelength, fiber: FiberSpec, peak_power=0.0, profile=None
 ):
     """Phasematched signal/idler pair for one pump wavelength.
 
@@ -206,7 +209,7 @@ def solve_phasematch(
         raise NoPhasematchError(
             f"empty signal search window for pump {pump_wavelength * 1e9:.2f} nm"
         )
-    omegas = np.linspace(lo, hi, scan_points)
+    omegas = np.linspace(lo, hi, _SCAN_POINTS)
     values = mismatch(omegas)
     sign = np.sign(values)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]

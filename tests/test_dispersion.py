@@ -116,14 +116,12 @@ class TestPaperFiberProfile:
         assert full == pytest.approx(narrow, rel=1e-12)
 
     def test_interpolation_matches_solver_at_midpoints(self, fiber_40cm):
-        from sfwmkit.material_optics import he11_effective_index
+        from mode_reference import he11_index
 
         profile = disp.axis_profile(fiber_40cm, disp.Axis.FAST)
         mids = 0.5 * (profile.omegas[200:204] + profile.omegas[201:205])
         for om in mids:
-            direct = he11_effective_index(
-                2 * np.pi * C_LIGHT / om, fiber_40cm.fast_axis
-            )
+            direct = he11_index(2 * np.pi * C_LIGHT / om, fiber_40cm.fast_axis)
             assert profile.index_at(om) == pytest.approx(direct, abs=1e-9)
 
     def test_out_of_span_raises(self, fiber_40cm):
@@ -186,7 +184,3 @@ class TestProfileValidation:
             disp.DispersionProfile(
                 axis=disp.Axis.FAST, omegas=omegas, n_eff=np.ones(64)
             )
-
-    def test_unknown_solver(self, fast_geometry):
-        with pytest.raises(ValueError):
-            disp.DispersionProfile.from_geometry(fast_geometry, solver="magic")

@@ -102,6 +102,17 @@ class TestFitGeometry:
         assert result.core_diameter_sigma > 0
         assert result.filling_fraction_sigma > 0
 
+    def test_program_errors_propagate(self, fast_geometry, monkeypatch):
+        # Package errors become penalty residuals; anything else is a bug.
+        rows = _synthetic_measurements(fast_geometry, PUMPS[:2])
+
+        def broken(*args, **kwargs):
+            raise TypeError("bug in the model")
+
+        monkeypatch.setattr(ff, "solve_phasematch", broken)
+        with pytest.raises(TypeError, match="bug in the model"):
+            ff.fit_geometry(rows, n_starts=1, birefringence=DN)
+
     def test_empty_input_raises(self):
         with pytest.raises(ff.FitError):
             ff.fit_geometry([])

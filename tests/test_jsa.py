@@ -139,6 +139,17 @@ class TestBuildJsa:
             point.idler_wavelength, abs=3e-9
         )
 
+    def test_amplitude_is_product_on_meshes(self, pump_40cm, fiber_40cm):
+        # build_jsa fills the phasematch factor on broadcast axes; the result
+        # must be the same bits as the product evaluated on full 2-D meshes.
+        grid = jsamod.adaptive_grid(pump_40cm, fiber_40cm, n_signal=96, n_idler=64)
+        jsa = jsamod.build_jsa(pump_40cm, fiber_40cm, grid=grid)
+        om_s, om_i = grid.meshes()
+        product = jsamod.pump_function(om_s + om_i, pump_40cm) * jsamod.phasematch_function(
+            om_s, om_i, fiber_40cm, jsamod.resolve_peak_power(pump_40cm)
+        )
+        assert np.array_equal(jsa.amplitude, _normalized_jsa(product, grid).amplitude)
+
     def test_misplaced_grid_raises(self, pump_40cm, fiber_40cm):
         grid = _square_grid(2.4e15, 2.3e15, 1e12, n=64)  # far from the ridge
         with pytest.raises(GridError, match="misplaced"):

@@ -1,8 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mode_reference as ref
 from sfwmkit import material_optics as mo
+from sfwmkit.constants import C_LIGHT
 from sfwmkit.errors import DomainError, ModeCutoffError
+
+# The paper's two axes and the corners and centre of the geometry-fit box.
+REFERENCE_GEOMETRIES = [
+    (1.7507e-6, 0.511),
+    (1.7488e-6, 0.505),
+    (1.0e-6, 0.30),
+    (1.0e-6, 0.70),
+    (3.0e-6, 0.30),
+    (3.0e-6, 0.70),
+    (1.65e-6, 0.46),
+]
+
+
+def _band_wavelengths(n_points):
+    """Wavelengths [m] of an n-point profile band, uniform in frequency."""
+    two_pi_c = 2 * np.pi * C_LIGHT
+    return two_pi_c / np.linspace(two_pi_c / 1250e-9, two_pi_c / 550e-9, n_points)
 
 
 class TestSilicaIndex:
@@ -82,9 +103,12 @@ class TestLP01:
 
     def test_grid_matches_scalar(self, fast_geometry):
         wl = np.linspace(600e-9, 1200e-9, 9)
-        grid = mo.lp01_effective_index_grid(wl, fast_geometry)
-        scalar = np.array([mo.lp01_effective_index(w, fast_geometry) for w in wl])
-        assert np.abs(grid - scalar).max() < 1e-12
+        grid = mo.lp01_effective_index(wl, fast_geometry)
+        scalar = [mo.lp01_effective_index(float(w), fast_geometry) for w in wl]
+        assert all(isinstance(n, float) for n in scalar)
+        assert np.array_equal(grid, scalar)
+        reference = np.array([ref.lp01_index(w, fast_geometry) for w in wl])
+        assert np.abs(grid - reference).max() < 1e-12
 
     def test_cutoff_raises(self):
         # Near-index-matched cladding leaves no resolvable guided root.
@@ -121,21 +145,68 @@ class TestUnitCell:
 
 class TestVectorSolvers:
     def test_fsm_below_silica_above_air(self, fast_geometry):
-        n = mo.fsm_cladding_index(785e-9, fast_geometry)
+        (n,) = mo.fsm_cladding_index_grid(np.array([785e-9]), fast_geometry)
         assert 1.0 < n < mo.silica_index(785e-9)
         assert n == pytest.approx(1.3581574184997218, rel=1e-11)
+        assert n == pytest.approx(ref.fsm_index(785e-9, fast_geometry), abs=1e-12)
 
     def test_he11_ordering(self, fast_geometry):
-        n = mo.he11_effective_index(785e-9, fast_geometry)
-        assert mo.fsm_cladding_index(785e-9, fast_geometry) < n
-        assert n < mo.silica_index(785e-9)
+        (n,) = mo.he11_effective_index_grid(np.array([785e-9]), fast_geometry)
+        (n_fsm,) = mo.fsm_cladding_index_grid(np.array([785e-9]), fast_geometry)
+        assert n_fsm < n < mo.silica_index(785e-9)
         assert n == pytest.approx(1.4283337376000698, rel=1e-11)
+        assert n == pytest.approx(ref.he11_index(785e-9, fast_geometry), abs=1e-12)
 
     def test_he11_grid_matches_scalar(self, fast_geometry):
         wl = np.linspace(600e-9, 1200e-9, 9)
         grid = mo.he11_effective_index_grid(wl, fast_geometry)
-        scalar = np.array([mo.he11_effective_index(w, fast_geometry) for w in wl])
-        assert np.abs(grid - scalar).max() < 1e-9
+        reference = np.array([ref.he11_index(w, fast_geometry) for w in wl])
+        assert np.abs(grid - reference).max() < 1e-12
+
+    def test_fsm_root_next_to_pole_matches_reference(self):
+        # Root (1.4562604) and pole (1.4559256) of the FSM characteristic
+        # function lie inside one step of an 800-point candidate scan here.
+        geometry = mo.FiberAxisGeometry(7.0e-6, 0.1)
+        (n,) = mo.fsm_cladding_index_grid(np.array([600e-9]), geometry)
+        assert n == pytest.approx(ref.fsm_index(600e-9, geometry), abs=1e-12)
+        assert n == pytest.approx(1.4562604, abs=1e-7)
+
+    @pytest.mark.parametrize("core, fill", REFERENCE_GEOMETRIES)
+    def test_band_matches_reference(self, core, fill):
+        # Every 32nd wavelength of the 2048-point profile band.
+        geometry = mo.FiberAxisGeometry(core, fill)
+        wl = _band_wavelengths(2048)[::32]
+        for solve, reference in (
+            (mo.fsm_cladding_index_grid, ref.fsm_index),
+            (mo.he11_effective_index_grid, ref.he11_index),
+            (mo.lp01_effective_index, ref.lp01_index),
+        ):
+            expected = np.array([reference(w, geometry) for w in wl])
+            assert np.abs(solve(wl, geometry) - expected).max() < 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(core_um=st.floats(1.0, 3.0), fill=st.floats(0.3, 0.7))
+    def test_fit_box_ordering(self, core_um, fill):
+        geometry = mo.FiberAxisGeometry(core_um * 1e-6, fill)
+        wl = _band_wavelengths(64)
+        n_si = mo.silica_index(wl)
+        n_fsm = mo.fsm_cladding_index_grid(wl, geometry)
+        n_he11 = mo.he11_effective_index_grid(wl, geometry)
+        assert np.all((1.0 < n_fsm) & (n_fsm < n_he11) & (n_he11 < n_si))
+        assert np.all(np.diff(n_he11) > 0)  # wl falls along the band
+        n_lp01 = mo.lp01_effective_index(wl, geometry)
+        assert np.all((mo.cladding_index(wl, fill) < n_lp01) & (n_lp01 < n_si))
+
+    def test_bracketed_root_checks_its_bracket(self):
+        def char(x, a):
+            return x * x - a
+
+        x = mo._bracketed_root(char, 0.0, 2.0, (np.array([1.0, 2.0]),), "test")
+        assert x == pytest.approx([1.0, np.sqrt(2.0)], rel=1e-15)
+        # No sign change across the bracket; a non-finite end.
+        for lo, hi, a in ((0.0, 2.0, 5.0), (0.0, np.inf, 1.0)):
+            with pytest.raises(ModeCutoffError, match="no test root"):
+                mo._bracketed_root(char, lo, hi, (a,), "test")
 
     def test_he11_decreasing_with_wavelength(self, fast_geometry):
         wl = np.linspace(600e-9, 1200e-9, 25)
