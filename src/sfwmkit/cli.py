@@ -8,6 +8,8 @@ config plus seed gives byte-identical output.
 """
 
 import argparse
+import contextlib
+import dataclasses
 import importlib.resources
 import io
 import json
@@ -26,7 +28,7 @@ from .dispersion import (
     wavevector,
     zero_gvd_wavelengths,
 )
-from .errors import ConfigError
+from .errors import ConfigError, SfwmkitError
 from .fiber_fit import fit_geometry, load_measurements
 from .hom import HomModelParams, fit_purity, simulate_counts
 from .jsa import adaptive_grid, build_jsa, schmidt_decompose, purity_vs_length
@@ -208,15 +210,31 @@ def load_config(path):
     return parse_config(document)
 
 
+@contextlib.contextmanager
+def _user_values(what):
+    """Report a ValueError raised by values the user gave as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
+def _positive_count(text):
+    """argparse type of sample counts: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _apply_overrides(config, args):
     """Fold generic command-line overrides into the config."""
-    import dataclasses
-
     fiber, pump = config.fiber, config.pump
-    if getattr(args, "length_m", None) is not None:
-        fiber = dataclasses.replace(fiber, length=args.length_m)
-    if getattr(args, "pump_nm", None) is not None:
-        pump = dataclasses.replace(pump, center_wavelength=args.pump_nm * 1e-9)
+    with _user_values("command-line override"):
+        if getattr(args, "length_m", None) is not None:
+            fiber = dataclasses.replace(fiber, length=args.length_m)
+        if getattr(args, "pump_nm", None) is not None:
+            pump = dataclasses.replace(pump, center_wavelength=args.pump_nm * 1e-9)
     config = dataclasses.replace(config, fiber=fiber, pump=pump)
     if getattr(args, "seed", None) is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -340,6 +358,9 @@ def _cmd_purity(config, args):
 
 
 def _cmd_purity_scan(config, args):
+    with _user_values("--lengths"):
+        for length in args.lengths:
+            dataclasses.replace(config.fiber, length=length)
     results = purity_vs_length(
         config.pump,
         config.fiber,
@@ -388,16 +409,17 @@ def _load_hom_csv(path, repetition_rate):
                     ) from None
     if not columns["theta_deg"]:
         raise ConfigError(f"{path}: no data rows")
-    return HomDataset(
-        theta=np.deg2rad(columns["theta_deg"]),
-        four_fold=np.asarray(columns["R_ABCD"]),
-        two_fold_ab=np.asarray(columns["R_AB"]),
-        two_fold_cd=np.asarray(columns["R_CD"]),
-        two_fold_ad=np.asarray(columns["R_AD"]),
-        two_fold_bc=np.asarray(columns["R_BC"]),
-        duration=np.asarray(columns["duration_s"]),
-        repetition_rate=repetition_rate,
-    )
+    with _user_values(path):
+        return HomDataset(
+            theta=np.deg2rad(columns["theta_deg"]),
+            four_fold=np.asarray(columns["R_ABCD"]),
+            two_fold_ab=np.asarray(columns["R_AB"]),
+            two_fold_cd=np.asarray(columns["R_CD"]),
+            two_fold_ad=np.asarray(columns["R_AD"]),
+            two_fold_bc=np.asarray(columns["R_BC"]),
+            duration=np.asarray(columns["duration_s"]),
+            repetition_rate=repetition_rate,
+        )
 
 
 def _cmd_hom_fit(config, args):
@@ -420,15 +442,16 @@ def _cmd_hom_fit(config, args):
 
 def _cmd_hom_sim(config, args):
     thetas = np.deg2rad(np.linspace(args.theta_start, args.theta_stop, args.theta_points))
-    data = simulate_counts(
-        HomModelParams(p=args.p, chi=args.chi),
-        thetas,
-        two_fold_mean=args.two_fold_mean,
-        duration=args.duration,
-        repetition_rate=args.rep_rate,
-        seed=config.seed,
-        noiseless=args.noiseless,
-    )
+    with _user_values("hom-sim arguments"):
+        data = simulate_counts(
+            HomModelParams(p=args.p, chi=args.chi),
+            thetas,
+            two_fold_mean=args.two_fold_mean,
+            duration=args.duration,
+            repetition_rate=args.rep_rate,
+            seed=config.seed,
+            noiseless=args.noiseless,
+        )
     buffer = io.StringIO()
     buffer.write("theta_deg,R_ABCD,R_AB,R_CD,R_AD,R_BC,duration_s\n")
     for i in range(len(data)):
@@ -558,12 +581,12 @@ def _build_parser():
         return p
 
     p = common(sub.add_parser("dispersion", help="sampled dispersion tables per axis"))
-    p.add_argument("--points", type=int, default=201)
+    p.add_argument("--points", type=_positive_count, default=201)
     p.set_defaults(func=_cmd_dispersion)
 
     p = common(sub.add_parser("phasematch", help="phasematched sidebands vs pump"))
     p.add_argument("--range", type=float, nargs=2, default=(765.0, 795.0), metavar=("LO_NM", "HI_NM"))
-    p.add_argument("--points", type=int, default=31)
+    p.add_argument("--points", type=_positive_count, default=31)
     p.set_defaults(func=_cmd_phasematch)
 
     p = common(sub.add_parser("gvm", help="group-velocity-matched pump wavelength"))
@@ -592,7 +615,7 @@ def _build_parser():
     p.add_argument("--rep-rate", type=float, default=76e6)
     p.add_argument("--theta-start", type=float, default=0.0)
     p.add_argument("--theta-stop", type=float, default=90.0)
-    p.add_argument("--theta-points", type=int, default=19)
+    p.add_argument("--theta-points", type=_positive_count, default=19)
     p.add_argument("--noiseless", action="store_true")
     p.set_defaults(func=_cmd_hom_sim)
 
@@ -615,7 +638,7 @@ def main(argv=None):
         config = load_config(args.config)
         config = _apply_overrides(config, args)
         return args.func(config, args)
-    except Exception as exc:  # domain/validation errors -> exit 1
+    except (SfwmkitError, OSError) as exc:  # user errors -> exit 1; bugs raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

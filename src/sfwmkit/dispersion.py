@@ -86,20 +86,12 @@ class DispersionProfile:
         return cls.from_geometry(fiber.axis_geometry(axis), axis=axis, **kwargs)
 
     @property
-    def spacing(self):
-        return float(self.omegas[1] - self.omegas[0])
-
-    @property
     def span(self):
         """(omega_lo, omega_hi): the band where k and its derivatives are valid."""
         return float(self.omegas[0]), float(self.omegas[-1])
 
     def index_at(self, omega):
         return self._spline(omega) * C_LIGHT / np.asarray(omega, dtype=float)
-
-    def contains(self, omega):
-        lo, hi = self.span
-        return (np.min(omega) >= lo) and (np.max(omega) <= hi)
 
 
 def _check_in_span(omega, profile):

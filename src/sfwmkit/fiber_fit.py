@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .dispersion import Axis, DispersionProfile
-from .errors import ConfigError, DomainError, FitError, NoPhasematchError
+from .errors import ConfigError, DomainError, FitError
 from .material_optics import FiberAxisGeometry, FiberSpec, ModeCutoffError
 from .phasematch import solve_phasematch
 
@@ -125,7 +125,6 @@ def load_measurements(path):
 
 def _model_residuals(x, measurements, birefringence, peak_power):
     """Sigma-weighted residual vector for geometry parameters x = (d_um, f)."""
-    geometry = None
     try:
         geometry = FiberAxisGeometry(
             core_diameter=x[0] * 1e-6, air_filling_fraction=x[1]
@@ -136,24 +135,24 @@ def _model_residuals(x, measurements, birefringence, peak_power):
     except (ValueError, ModeCutoffError, DomainError):
         profile = None
 
+    points = [None] * len(measurements)
+    if profile is not None:
+        fiber = FiberSpec(
+            fast_axis=geometry,
+            slow_axis=geometry,
+            gamma=0.0,
+            length=1.0,
+            birefringence_override=birefringence,
+        )
+        pumps = np.array([m.pump_wavelength for m in measurements])
+        try:
+            points = solve_phasematch(pumps, fiber, peak_power, profile=profile)
+        except (DomainError, ModeCutoffError):
+            pass
+
     residuals = []
     penalized = 0
-    for m in measurements:
-        point = None
-        if profile is not None:
-            fiber = FiberSpec(
-                fast_axis=geometry,
-                slow_axis=geometry,
-                gamma=0.0,
-                length=1.0,
-                birefringence_override=birefringence,
-            )
-            try:
-                point = solve_phasematch(
-                    m.pump_wavelength, fiber, peak_power, profile=profile
-                )
-            except (NoPhasematchError, DomainError, ModeCutoffError):
-                point = None
+    for m, point in zip(measurements, points):
         for observed, model in (
             (m.signal_wavelength, point and point.signal_wavelength),
             (m.idler_wavelength, point and point.idler_wavelength),

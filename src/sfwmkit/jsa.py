@@ -24,7 +24,7 @@ from scipy.special import erf
 
 from .constants import C_LIGHT
 from .dispersion import Axis, axis_profile, birefringence, inverse_group_velocity
-from .errors import GridError, NoPhasematchError
+from .errors import GridError
 from .material_optics import FiberSpec
 from .phasematch import PumpSpec, delta_k, resolve_peak_power, solve_phasematch
 
@@ -228,30 +228,23 @@ def adaptive_grid(
     dn = birefringence(pump.center_wavelength, fiber)
     e_lo, e_hi = _pump_field_support(pump)
 
-    ridge = []
-    for omega_p in np.linspace(e_lo, e_hi, ridge_samples):
-        try:
-            point = solve_phasematch(
-                2.0 * np.pi * C_LIGHT / omega_p, fiber, peak_power
-            )
-        except NoPhasematchError:
-            continue
-        omega_s = 2.0 * np.pi * C_LIGHT / point.signal_wavelength
-        omega_i = 2.0 * np.pi * C_LIGHT / point.idler_wavelength
-        slowness_p = inverse_group_velocity(omega_p, profile) + dn / C_LIGHT
-        slope_s = slowness_p - inverse_group_velocity(omega_s, profile)
-        slope_i = slowness_p - inverse_group_velocity(omega_i, profile)
-        ridge.append((omega_s, omega_i, slope_s, slope_i))
-    if not ridge:
+    omega_p = np.linspace(e_lo, e_hi, ridge_samples)
+    points = solve_phasematch(2.0 * np.pi * C_LIGHT / omega_p, fiber, peak_power)
+    found = [k for k, point in enumerate(points) if point is not None]
+    if not found:
         raise GridError(
             "no phasematched ridge anywhere in the pump band; cannot place grid"
         )
-
+    omega_s = 2.0 * np.pi * C_LIGHT / np.array([points[k].signal_wavelength for k in found])
+    omega_i = 2.0 * np.pi * C_LIGHT / np.array([points[k].idler_wavelength for k in found])
+    slowness_p = inverse_group_velocity(omega_p[found], profile) + dn / C_LIGHT
     lobe = 2.0 * np.pi * sidelobes / fiber.length
-    s_lo = min(os - lobe / max(abs(ss), 1e-18) for os, _, ss, _ in ridge)
-    s_hi = max(os + lobe / max(abs(ss), 1e-18) for os, _, ss, _ in ridge)
-    i_lo = min(oi - lobe / max(abs(si), 1e-18) for _, oi, _, si in ridge)
-    i_hi = max(oi + lobe / max(abs(si), 1e-18) for _, oi, _, si in ridge)
+    slope_s = slowness_p - inverse_group_velocity(omega_s, profile)
+    slope_i = slowness_p - inverse_group_velocity(omega_i, profile)
+    reach_s = lobe / np.maximum(np.abs(slope_s), 1e-18)
+    reach_i = lobe / np.maximum(np.abs(slope_i), 1e-18)
+    s_lo, s_hi = float(np.min(omega_s - reach_s)), float(np.max(omega_s + reach_s))
+    i_lo, i_hi = float(np.min(omega_i - reach_i)), float(np.max(omega_i + reach_i))
 
     # Clip to where the pump function is nonzero: w_s + w_i in [2 e_lo, 2 e_hi].
     s_lo = max(s_lo, 2.0 * e_lo - i_hi)
@@ -302,7 +295,7 @@ def build_jsa(
     return JointSpectralAmplitude(grid=grid, amplitude=amplitude / np.sqrt(norm_sq))
 
 
-def schmidt_decompose(jsa: JointSpectralAmplitude, max_modes=None):
+def schmidt_decompose(jsa: JointSpectralAmplitude):
     """Schmidt spectrum of the joint amplitude via singular value decomposition.
 
     The singular values s_n of the sampled amplitude give coefficients
@@ -313,15 +306,11 @@ def schmidt_decompose(jsa: JointSpectralAmplitude, max_modes=None):
     singular = np.linalg.svd(jsa.amplitude, compute_uv=False)
     lam = singular**2 * jsa.grid.signal_spacing * jsa.grid.idler_spacing
     lam = lam / lam.sum()
-    if max_modes is not None:
-        kept = lam[:max_modes]
-    else:
-        kept = lam
     purity = float(np.sum(lam**2))
     positive = lam[lam > 0]
     entropy = float(-np.sum(positive * np.log2(positive)))
     return SchmidtResult(
-        coefficients=tuple(float(x) for x in kept),
+        coefficients=tuple(float(x) for x in lam),
         purity=purity,
         schmidt_number=1.0 / purity,
         entropy=entropy,

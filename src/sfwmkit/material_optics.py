@@ -18,18 +18,22 @@ the (tiny) index difference between the two polarization axes.  See the
 package README for the calibration notes.
 
 All three mode solvers (LP01, FSM, HE11) work on whole wavelength arrays at
-once: each brackets its root analytically and hands the bracket to one shared
-root finder, ``_bracketed_root`` (Chandrupatla's method), which checks that
-every root converged strictly inside its bracket.  LP01 and HE11 bracket the
-transverse core number u below min(V, j01); the FSM lies between n_silica and
-the first pole of its characteristic function, found once per geometry.
+once: each brackets its root analytically and hands the bracket to
+``_bracketed_root``, which raises ModeCutoffError unless every root converged
+strictly inside its bracket.  LP01 and HE11 bracket the transverse core
+number u below min(V, j01); the FSM lies between n_silica and the first pole
+of its characteristic function, found once per geometry.
+
+``chandrupatla``, a vectorised Chandrupatla root finder in plain numpy, is the
+one root finder of the package: the mode solvers, the sideband refine of
+``phasematch.solve_phasematch`` and the group-velocity-matched pump of
+``phasematch.gvm_pump_wavelength`` all call it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize.elementwise import find_root
 from scipy.special import i0, i1, j0, j1, jn_zeros, k0, k1, y0, y1
 
 from .constants import SILICA_SELLMEIER, SILICA_VALID_RANGE
@@ -46,9 +50,13 @@ __all__ = [
     "unit_cell_radii",
     "fsm_cladding_index_grid",
     "he11_effective_index_grid",
+    "chandrupatla",
 ]
 
 _J0_FIRST_ZERO = float(jn_zeros(0, 1)[0])  # 2.404825...
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+# As many bisections as there are binades between tiny and max.
+_MAX_ITERATIONS = 2046
 
 
 @dataclass(frozen=True)
@@ -167,25 +175,84 @@ def _char_of_u(u, v):
         return u * j1(u) / j0(u) - w * k1(w) / k0(w)
 
 
+def chandrupatla(f, lo, hi, args=(), xatol=4 * _TINY):
+    """Roots of f(x, *args) in the brackets (lo, hi), elementwise over broadcast arrays.
+
+    Chandrupatla's hybrid of inverse quadratic interpolation and bisection
+    (Adv. Eng. Softw. 28, 145 (1997)), stopped where |f| <= tiny or the
+    bracket is narrower than xatol + 4 eps |x|.  A stopped element is frozen
+    and f is evaluated on the active elements only, so each root is
+    independent of the other elements of the call.  Returns (x, ok) in the
+    broadcast shape; ok is the checked postcondition: converged, final
+    bracket still changes sign, and the root lies strictly inside (lo, hi).
+    The root is x where f(x) = 0; otherwise it lies strictly between the
+    ends of the final bracket, so x itself may be an end of (lo, hi) when
+    the root is within tolerance of it.
+    """
+    lo, hi, *args = np.broadcast_arrays(lo, hi, *args)
+    x1, x2 = lo.astype(float).ravel(), hi.astype(float).ravel()
+    args = [a.ravel() for a in args]
+    x, ok = np.full(x1.size, np.nan), np.zeros(x1.size, dtype=bool)
+    enclosed = np.zeros(x1.size, dtype=bool)  # final bracket f1 f2 < 0
+    active, x3, f3 = np.arange(x1.size), None, None
+    with np.errstate(all="ignore"):
+        f1, f2 = f(x1, *args), f(x2, *args)
+        for _ in range(_MAX_ITERATIONS):
+            near = np.abs(f1) < np.abs(f2)
+            xmin, fmin = np.where(near, x1, x2), np.where(near, f1, f2)
+            tol, dx = np.abs(xmin) * (4 * _EPS) + xatol, np.abs(x2 - x1)
+            flip = np.sign(f1) * np.sign(f2)
+            done = (np.abs(fmin) <= _TINY) | (dx < tol)
+            stop = done | ~((flip < 0) & np.isfinite(dx))
+            if stop.any():
+                x[active[stop]] = np.where(done, xmin, np.nan)[stop]
+                ok[active[stop]] = (done & (flip <= 0))[stop]
+                enclosed[active[stop]] = (flip < 0)[stop]
+                if stop.all():
+                    break
+                keep = ~stop
+                active, x1, x2, f1, f2, tol, dx = (
+                    v[keep] for v in (active, x1, x2, f1, f2, tol, dx)
+                )
+                args = [a[keep] for a in args]
+                x3, f3 = (None, None) if x3 is None else (x3[keep], f3[keep])
+            t = 0.5
+            if x3 is not None:  # inverse quadratic step where it stays in bracket
+                xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+                alpha = (x3 - x1) / (x2 - x1)
+                quad = (1 - np.sqrt(1 - xi) < phi) & (phi < np.sqrt(xi))
+                t = np.where(
+                    quad,
+                    f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3),
+                    0.5,
+                )
+                margin = 0.5 * tol / dx
+                t = np.minimum(np.maximum(t, margin), 1 - margin)
+            xt = x1 + t * (x2 - x1)
+            ft = f(xt, *args)
+            same = np.sign(ft) == np.sign(f1)
+            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+            x1, f1 = xt, ft
+    ok &= enclosed | ((lo.ravel() < x) & (x < hi.ravel()))
+    return x.reshape(lo.shape), ok.reshape(lo.shape)
+
+
 def _bracketed_root(char, lo, hi, args, what):
     """Root of char(x, *args) in (lo, hi), elementwise over broadcast arrays.
 
     Precondition: char is finite at both ends and changes sign across the
-    bracket at every element.  Chandrupatla's method (scipy's find_root)
-    converges to a few ulp.  Postcondition, checked rather than trusted: every
-    element converged, its root lies strictly inside (lo, hi) and its final
-    bracket still changes sign.  Raises ModeCutoffError naming `what` if
-    either fails.
+    bracket at every element.  `chandrupatla` converges to a few ulp and
+    checks its postcondition; raises ModeCutoffError naming `what` where it
+    fails.
     """
-    res = find_root(char, (lo, hi), args=args)
-    f_lo, f_hi = res.f_bracket
-    ok = res.success & (lo < res.x) & (res.x < hi) & (np.sign(f_lo) != np.sign(f_hi))
+    x, ok = chandrupatla(char, lo, hi, args)
     if not np.all(ok):
         raise ModeCutoffError(
             f"no {what} root in its bracket at {np.size(ok) - np.count_nonzero(ok)} "
-            f"of {np.size(ok)} points (find_root status {np.unique(res.status)})"
+            f"of {np.size(ok)} points"
         )
-    return res.x
+    return x
 
 
 def _guided_u_top(v):

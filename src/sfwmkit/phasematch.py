@@ -10,6 +10,12 @@ birefringence term 2 dn w_p / c in the phase mismatch
 with energy conservation w_i = 2 w_p - w_s enforced exactly.  The factor 2/3
 reflects the reduced cross-polarized self-phase-modulation contribution of
 the pump at peak power P.
+
+solve_phasematch takes one pump or an array of them: one dk scan over all
+pumps brackets each sideband, and one vectorised ``chandrupatla`` call
+refines every bracket.  Tuning curves, the adaptive grid's ridge, the
+geometry fit's sidebands and the group-velocity-matched pump search each
+solve their pumps in one call.
 """
 
 import math
@@ -17,7 +23,6 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import C_LIGHT
 from .dispersion import (
@@ -29,11 +34,10 @@ from .dispersion import (
 )
 from .errors import (
     ConfigError,
-    DomainError,
     NoGroupVelocityMatchError,
     NoPhasematchError,
 )
-from .material_optics import FiberSpec
+from .material_optics import FiberSpec, chandrupatla
 
 __all__ = [
     "PumpSpec",
@@ -175,21 +179,36 @@ def delta_k(
 def solve_phasematch(
     pump_wavelength, fiber: FiberSpec, peak_power=0.0, profile=None
 ):
-    """Phasematched signal/idler pair for one pump wavelength.
+    """Phasematched signal/idler pair for one pump wavelength or an array of them.
 
-    Scans dk over signal frequencies from just above the degeneracy guard
-    (+2 THz) to the top of the profile band (capped so the idler stays in
-    band), brackets the sign change nearest degeneracy, and bisects the root
-    to better than 1e-4 nm.  Raises NoPhasematchError when no sign change
-    exists; the returned point satisfies |dk| < 1e-3 rad/m.  An explicit
+    For every pump, scans dk over 2000 signal frequencies from just above the
+    degeneracy guard (+2 THz) to the top of the profile band (capped so the
+    idler stays in band) and brackets the sign change nearest degeneracy;
+    one `chandrupatla` call then refines all brackets to 1e5 rad/s (well
+    below 1e-4 nm).  The birefringence is evaluated at each pump, and a
+    root is accepted only if |dk| < 1e-3 rad/m.  A scalar pump gives a
+    PhasematchPoint or raises NoPhasematchError; an array gives a list with
+    one PhasematchPoint, or None where there is none, per pump.  An explicit
     profile overrides the default full-resolution fast-axis profile.
     """
     if profile is None:
         profile = axis_profile(fiber, Axis.FAST)
-    omega_p = 2.0 * np.pi * C_LIGHT / pump_wavelength
-    dn = birefringence(pump_wavelength, fiber)
+    pumps = np.atleast_1d(np.asarray(pump_wavelength, dtype=float))
+    omega_p = 2.0 * np.pi * C_LIGHT / pumps
+    band_lo, band_hi = profile.span
+    lo = omega_p + DEGENERACY_GUARD
+    hi = np.minimum(band_hi, 2.0 * omega_p - band_lo)
+    # Keep the idler in band under rounding.
+    hi = np.where(2.0 * omega_p - hi < band_lo, np.nextafter(hi, lo), hi)
+    failures = {
+        k: f"empty signal search window for pump {pumps[k] * 1e9:.2f} nm"
+        for k in np.nonzero(hi <= lo)[0]
+    }
+    rows = np.nonzero(hi > lo)[0]
+    omega_p = omega_p[rows]
+    dn = np.broadcast_to(birefringence(pumps[rows], fiber), rows.shape)
 
-    def mismatch(omega_s):
+    def mismatch(omega_s, omega_p, dn):
         return delta_k(
             omega_p,
             omega_s,
@@ -200,38 +219,38 @@ def solve_phasematch(
             birefringence_value=dn,
         )
 
-    band_lo, band_hi = profile.span
-    lo = omega_p + DEGENERACY_GUARD
-    hi = min(band_hi, 2.0 * omega_p - band_lo)
-    if 2.0 * omega_p - hi < band_lo:  # keep the idler in band under rounding
-        hi = np.nextafter(hi, lo)
-    if hi <= lo:
-        raise NoPhasematchError(
-            f"empty signal search window for pump {pump_wavelength * 1e9:.2f} nm"
+    omegas = np.linspace(lo[rows], hi[rows], _SCAN_POINTS, axis=-1)
+    values = mismatch(omegas, omega_p[:, None], dn[:, None])
+    flips = np.sign(values[:, :-1]) * np.sign(values[:, 1:]) < 0
+    for r in np.nonzero(~flips.any(axis=1))[0]:
+        failures[rows[r]] = (
+            f"no phasematched sideband for pump {pumps[rows[r]] * 1e9:.2f} nm "
+            f"(dk range {values[r].min():.3g}..{values[r].max():.3g} rad/m)"
         )
-    omegas = np.linspace(lo, hi, _SCAN_POINTS)
-    values = mismatch(omegas)
-    sign = np.sign(values)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if len(flips) == 0:
-        raise NoPhasematchError(
-            f"no phasematched sideband for pump {pump_wavelength * 1e9:.2f} nm "
-            f"(dk range {values.min():.3g}..{values.max():.3g} rad/m)"
-        )
-    i = flips[0]  # branch nearest degeneracy
-    # 1e-4 nm at 720 nm corresponds to ~3.6e8 rad/s; bisect well past that.
-    omega_s = brentq(mismatch, omegas[i], omegas[i + 1], xtol=1e5, rtol=8.9e-16)
-    omega_i = 2.0 * omega_p - omega_s
-    residual = mismatch(omega_s)
-    if abs(residual) >= 1e-3:
-        raise NoPhasematchError(
-            f"phasematch root did not converge: |dk| = {abs(residual):.3g} rad/m"
-        )
-    return PhasematchPoint(
-        pump_wavelength=pump_wavelength,
-        signal_wavelength=2.0 * np.pi * C_LIGHT / omega_s,
-        idler_wavelength=2.0 * np.pi * C_LIGHT / omega_i,
+    found = np.nonzero(flips.any(axis=1))[0]
+    i = flips[found].argmax(axis=1)  # branch nearest degeneracy
+    omega_p, dn = omega_p[found], dn[found]
+    omega_s, ok = chandrupatla(
+        mismatch, omegas[found, i], omegas[found, i + 1], (omega_p, dn), xatol=1e5
     )
+    residual = np.abs(mismatch(omega_s, omega_p, dn))
+    points = [None] * len(pumps)
+    for r, k in enumerate(rows[found]):
+        if not (ok[r] and residual[r] < 1e-3):
+            failures[k] = (
+                f"phasematch root did not converge: |dk| = {residual[r]:.3g} rad/m"
+            )
+            continue
+        points[k] = PhasematchPoint(
+            pump_wavelength=float(pumps[k]),
+            signal_wavelength=float(2.0 * np.pi * C_LIGHT / omega_s[r]),
+            idler_wavelength=float(2.0 * np.pi * C_LIGHT / (2.0 * omega_p[r] - omega_s[r])),
+        )
+    if np.ndim(pump_wavelength) > 0:
+        return points
+    if failures:
+        raise NoPhasematchError(*failures.values())
+    return points[0]
 
 
 def phasematch_curve(pump_range, n_points, fiber: FiberSpec, peak_power=0.0):
@@ -240,39 +259,41 @@ def phasematch_curve(pump_range, n_points, fiber: FiberSpec, peak_power=0.0):
     Pump wavelengths without a solution are omitted from the returned list;
     a single warning summarizes how many were skipped.
     """
-    lam_lo, lam_hi = pump_range
-    points = []
-    skipped = []
-    for lam_p in np.linspace(lam_lo, lam_hi, n_points):
-        try:
-            points.append(solve_phasematch(float(lam_p), fiber, peak_power))
-        except (NoPhasematchError, DomainError):
-            skipped.append(lam_p)
+    pumps = np.linspace(*pump_range, n_points)
+    solved = solve_phasematch(pumps, fiber, peak_power)
+    skipped = [lam_p for lam_p, point in zip(pumps, solved) if point is None]
     if skipped:
         warnings.warn(
             f"no phasematch for {len(skipped)} of {n_points} pump wavelengths "
             f"(first skipped: {skipped[0] * 1e9:.2f} nm)",
             stacklevel=2,
         )
-    return points
+    return [point for point in solved if point is not None]
 
 
-def _gvm_mismatch_from_profile(profile, dn, pump_wavelength, fiber, peak_power):
-    """Group-velocity mismatch function whose root is the design pump.
+def _gvm_mismatch(pumps, profile, fiber, peak_power):
+    """Group-velocity mismatch at an array of pumps; its root is the design pump.
 
     Stationarity of the idler wavelength against pump tuning requires the
     signal group slowness to match the pump's *including* the walk-off term:
-    g = 1/vg(w_s) - 1/vg(w_p) - dn/c.  (With dn = 0 this reduces to plain
-    group-velocity matching.)
+    g = 1/vg(w_s) - 1/vg(w_p) - dn/c, with dn taken at each pump (with
+    dn = 0 this reduces to plain group-velocity matching).  NaN where a pump
+    has no phasematch.
     """
-    point = solve_phasematch(pump_wavelength, fiber, peak_power)
-    omega_p = 2.0 * np.pi * C_LIGHT / pump_wavelength
-    omega_s = 2.0 * np.pi * C_LIGHT / point.signal_wavelength
-    return (
+    points = solve_phasematch(pumps, fiber, peak_power)
+    found = np.array([point is not None for point in points])
+    omega_p = 2.0 * np.pi * C_LIGHT / pumps[found]
+    omega_s = 2.0 * np.pi * C_LIGHT / np.array(
+        [point.signal_wavelength for point in points if point is not None]
+    )
+    dn = np.broadcast_to(birefringence(pumps, fiber), pumps.shape)[found]
+    g = np.full(pumps.shape, np.nan)
+    g[found] = (
         inverse_group_velocity(omega_s, profile)
         - inverse_group_velocity(omega_p, profile)
         - dn / C_LIGHT
     )
+    return g
 
 
 def gvm_pump_wavelength(
@@ -280,33 +301,32 @@ def gvm_pump_wavelength(
 ):
     """Pump wavelength [m] where the idler becomes stationary under pump tuning.
 
-    Bisects the signal/pump group-slowness mismatch (walk-off corrected) over
-    the search range to better than 0.01 nm.  Raises
-    NoGroupVelocityMatchError when the mismatch does not change sign.
+    Scans the signal/pump group-slowness mismatch (walk-off corrected, with
+    the birefringence taken at each pump) at 16 pumps over the search range
+    in one `solve_phasematch` call, then refines the first sign change with
+    `chandrupatla` to 1e-12 m.  Raises NoGroupVelocityMatchError when the
+    mismatch does not change sign or the root does not converge.
     """
     profile = axis_profile(fiber, Axis.FAST)
     lam_lo, lam_hi = search_range
-    dn = birefringence(0.5 * (lam_lo + lam_hi), fiber)
-
-    def g(lam_p):
-        return _gvm_mismatch_from_profile(profile, dn, lam_p, fiber, peak_power)
-
     grid = np.linspace(lam_lo, lam_hi, 16)
-    values = []
-    for lam in grid:
-        try:
-            values.append(g(float(lam)))
-        except NoPhasematchError:
-            values.append(np.nan)
-    values = np.asarray(values)
-    sign = np.sign(values)
-    finite = np.isfinite(values)
-    flips = np.nonzero((sign[:-1] * sign[1:] < 0) & finite[:-1] & finite[1:])[0]
+    values = _gvm_mismatch(grid, profile, fiber, peak_power)
+    flips = np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
     if len(flips) == 0:
         raise NoGroupVelocityMatchError(
             f"no group-velocity-matched pump in "
             f"({lam_lo * 1e9:.1f}, {lam_hi * 1e9:.1f}) nm"
         )
     i = flips[0]
-    root = brentq(g, grid[i], grid[i + 1], xtol=1e-12, rtol=8.9e-16)
+    root, ok = chandrupatla(
+        lambda pumps: _gvm_mismatch(pumps, profile, fiber, peak_power),
+        grid[i],
+        grid[i + 1],
+        xatol=1e-12,
+    )
+    if not ok:
+        raise NoGroupVelocityMatchError(
+            f"group-velocity-matched pump in ({grid[i] * 1e9:.2f}, "
+            f"{grid[i + 1] * 1e9:.2f}) nm did not converge"
+        )
     return float(root)

@@ -175,6 +175,37 @@ class TestExitCodes:
         assert code == 1
         assert "does-not-exist" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gvm", "--length-m", "-1"], "length must be finite and > 0"),
+            (["gvm", "--pump-nm", "-783"], "must be positive"),
+            (["purity-scan", "--lengths", "1", "0"], "--lengths: length"),
+            (["hom-sim", "--p", "1.5"], "p must be in"),
+            (["gvm", "--out", "{tmp}/no-such-dir/x.json"], "no-such-dir"),
+        ],
+    )
+    def test_user_errors_exit_one(self, config_path, tmp_path, capsys, argv, message):
+        argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--config", config_path]
+        code, _, err = _run(argv, capsys)
+        assert code == 1
+        assert message in err
+
+    def test_program_errors_propagate(self, config_path, monkeypatch):
+        # A bug is not bad input: it raises with its traceback, not exit 1.
+        def broken(config, args):
+            raise TypeError("bug in a subcommand")
+
+        monkeypatch.setattr(cli, "_cmd_gvm", broken)
+        with pytest.raises(TypeError, match="bug in a subcommand"):
+            cli.main(["gvm", "--config", config_path])
+
+    @pytest.mark.parametrize("argv", [["dispersion", "--points", "0"], ["phasematch", "--points", "-3"]])
+    def test_bad_count_exits_two(self, config_path, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*argv, "--config", config_path])
+        assert excinfo.value.code == 2
+
     def test_unknown_flag_exits_two(self, config_path):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["gvm", "--config", config_path, "--bogus"])

@@ -214,6 +214,55 @@ class TestVectorSolvers:
         assert np.all(np.diff(n) < 0)
 
 
+class TestChandrupatla:
+    @staticmethod
+    def _cubic(x, r, a):
+        return (x - r) ** 3 + a * (x - r)
+
+    @staticmethod
+    def _tanh(x, r, a):
+        return np.tanh(a * (x - r))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        data=st.lists(
+            st.tuples(
+                st.floats(-10.0, 10.0),  # root
+                st.floats(1e-3, 10.0),  # distance of lo below the root
+                st.floats(1e-3, 10.0),  # distance of hi above the root
+                st.floats(0.1, 5.0),  # linear term / steepness
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        tanh=st.booleans(),
+    )
+    def test_known_roots(self, data, tanh):
+        r, below, above, a = (np.array(c) for c in zip(*data))
+        f = self._tanh if tanh else self._cubic
+        lo, hi = r - below, r + above
+        x, ok = mo.chandrupatla(f, lo, hi, (r, a))
+        assert ok.all()
+        assert np.all(np.abs(x - r) <= 8 * np.spacing(np.abs(r)) + 4 * np.finfo(float).tiny)
+        # Each root is frozen once converged: alone it comes out the same.
+        for k in range(len(r)):
+            alone, _ = mo.chandrupatla(f, lo[k], hi[k], (r[k], a[k]))
+            assert alone == x[k]
+        # A bracket that holds no sign change is reported, not trusted.
+        x, ok = mo.chandrupatla(f, r + below, r + below + above, (r, a))
+        assert not ok.any()
+
+    def test_root_within_tolerance_of_bracket_end(self):
+        # The estimate may be the bracket end; the root it stands for lies
+        # strictly inside, between the ends of the final bracket.
+        x, ok = mo.chandrupatla(lambda x: x - (1.0 - 1e-16), 0.0, 1.0)
+        assert x == 1.0 and ok
+        # A root exactly at an end is not inside the open bracket.
+        for root in (0.0, 1.0):
+            x, ok = mo.chandrupatla(lambda x: x - root, 0.0, 1.0)
+            assert x == root and not ok
+
+
 class TestSpecTypes:
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,9 @@ import pytest
 
 from sfwmkit import phasematch as pm
 from sfwmkit.constants import C_LIGHT
+from sfwmkit.dispersion import Axis, axis_profile, birefringence, inverse_group_velocity
 from sfwmkit.errors import ConfigError, NoGroupVelocityMatchError, NoPhasematchError
-from sfwmkit.material_optics import FiberSpec
+from sfwmkit.material_optics import FiberAxisGeometry, FiberSpec
 
 
 class TestPumpSpec:
@@ -128,6 +129,18 @@ class TestSolvePhasematch:
         with pytest.raises(NoPhasematchError):
             pm.solve_phasematch(650e-9, fiber_40cm)
 
+    def test_array_matches_scalar_calls(self, fiber_40cm):
+        pumps = np.linspace(765e-9, 795e-9, 31)
+        points = pm.solve_phasematch(pumps, fiber_40cm)
+        assert len(points) == 31
+        for k, lam_p in enumerate(pumps):
+            assert points[k] == pm.solve_phasematch(float(lam_p), fiber_40cm)
+
+    def test_array_marks_pumps_without_solution(self, fiber_40cm):
+        points = pm.solve_phasematch(np.array([650e-9, 785e-9, 300e-9]), fiber_40cm)
+        assert points[0] is None and points[2] is None
+        assert points[1] == pm.solve_phasematch(785e-9, fiber_40cm)
+
 
 class TestPhasematchCurve:
     def test_paper_window(self, fiber_40cm):
@@ -147,6 +160,12 @@ class TestPhasematchCurve:
             points = pm.phasematch_curve((640e-9, 760e-9), 5, fiber_40cm)
         assert len(points) < 5
 
+    def test_full_tuning_range_skips(self, fiber_40cm):
+        # The figure 1a range: the blue end has no nondegenerate sideband.
+        with pytest.warns(UserWarning, match="41 of 301 .*first skipped: 700.00 nm"):
+            points = pm.phasematch_curve((700e-9, 1000e-9), 301, fiber_40cm)
+        assert len(points) == 260
+
 
 class TestGvmPumpWavelength:
     def test_paper_value(self, fiber_40cm):
@@ -165,6 +184,38 @@ class TestGvmPumpWavelength:
     def test_empty_range_raises(self, fiber_40cm):
         with pytest.raises(NoGroupVelocityMatchError):
             pm.gvm_pump_wavelength(fiber_40cm, search_range=(795e-9, 799e-9))
+
+    def test_walkoff_uses_birefringence_at_root(self, fiber_40cm):
+        # Without an override dn varies with the pump (-4.9e-6 at 770 nm,
+        # -7.9e-6 at 800 nm on the swapped paper axes); the mismatch must
+        # vanish with dn taken at the returned pump, not at mid-range.
+        fiber = FiberSpec(fiber_40cm.slow_axis, fiber_40cm.fast_axis, 99.0, 0.4)
+        profile = axis_profile(fiber, Axis.FAST)
+
+        def mismatch(lam_p):
+            point = pm.solve_phasematch(lam_p, fiber)
+            omega_p = 2 * np.pi * C_LIGHT / lam_p
+            omega_s = 2 * np.pi * C_LIGHT / point.signal_wavelength
+            return (
+                inverse_group_velocity(omega_s, profile)
+                - inverse_group_velocity(omega_p, profile)
+                - birefringence(lam_p, fiber) / C_LIGHT
+            )
+
+        lam0 = pm.gvm_pump_wavelength(fiber)
+        h = 0.1e-9
+        slope = (mismatch(lam0 + h) - mismatch(lam0 - h)) / (2 * h)
+        # Within 1e-11 m of the root; dn at mid-range put it 1.4e-10 m off.
+        assert abs(mismatch(lam0) / slope) < 1e-11
+
+    def test_root_next_to_scan_pump(self):
+        # This geometry's GVM pump lies 2.4e-13 m below the 786.67 nm scan
+        # pump, so the refined root is that bracket end.
+        fast = FiberAxisGeometry(1.7724903061746749e-06, 0.4993156482555071)
+        slow = FiberAxisGeometry(1.7710259182503595e-06, 0.49216110945906605)
+        fiber = FiberSpec(fast, slow, 99.0, 0.4, -1.607951856686876e-05)
+        lam0 = pm.gvm_pump_wavelength(fiber, search_range=(760e-9, 810e-9))
+        assert lam0 == pytest.approx(786.6667e-9, abs=1e-13)
 
     def test_peak_power_shifts_root(self, fiber_40cm):
         base = pm.gvm_pump_wavelength(fiber_40cm)
