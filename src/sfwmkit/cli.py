@@ -351,7 +351,9 @@ def _cmd_purity(config, args):
         "grid_points": [config.n_signal, config.n_idler],
         "refined_purity": float(_fmt(refined.purity)),
         "grid_converged": bool(drift < 1e-3),
-        "purity_drift": float(_fmt(drift)),
+        # Rounded to the 1e-12 resolution of the printed purities, so the
+        # last-bit SVD rounding of either purity does not show.
+        "purity_drift": float(_fmt(round(drift, 12))),
     }
     _write(args.out, _json_dump(result))
     return 0

@@ -4,18 +4,31 @@ Sideband wavelengths measured at several pump wavelengths pin down the two
 geometry parameters (core diameter, air filling fraction) of one axis: the
 model phasematch curve is solved for each candidate geometry and the
 sigma-weighted residuals against the measured signal/idler wavelengths are
-minimized by bounded least squares with a handful of deterministic restarts.
+minimized by bounded least squares with up to five deterministic restarts.
+The Jacobian is exact: the implicit function theorem, applied to the HE11
+and FSM roots behind the mode index and to the sideband root of dk, gives
+each sideband's derivative in the geometry from the same profile and
+phasematch points as the residual, so one profile build serves both, and
+the parameter sigmas come from it.
 """
 
 import csv
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import make_interp_spline
 from scipy.optimize import least_squares
 
-from .dispersion import Axis, DispersionProfile
+from .constants import C_LIGHT
+from .dispersion import _SPLINE_ORDER, Axis, DispersionProfile, inverse_group_velocity
 from .errors import ConfigError, DomainError, FitError
-from .material_optics import FiberAxisGeometry, FiberSpec, ModeCutoffError
+from .material_optics import (
+    FiberAxisGeometry,
+    FiberSpec,
+    ModeCutoffError,
+    he11_index_gradient,
+)
 from .phasematch import solve_phasematch
 
 __all__ = [
@@ -36,6 +49,12 @@ PENALTY_RESIDUAL = 1e3
 _CSV_HEADER = ["lambda_p_nm", "lambda_s_nm", "lambda_i_nm", "sigma_nm"]
 
 _FIT_PROFILE_POINTS = 192
+
+# Fixed relative (diameter, fraction) jitters of the starts keep restarts
+# deterministic.
+_JITTERS = ((0.0, 0.0), (0.03, 0.02), (-0.03, -0.02), (0.06, -0.03), (-0.06, 0.03))
+
+_TWO_PI_C = 2.0 * np.pi * C_LIGHT
 
 
 @dataclass(frozen=True)
@@ -123,20 +142,22 @@ def load_measurements(path):
     return rows
 
 
-def _model_residuals(x, measurements, birefringence, peak_power):
-    """Sigma-weighted residual vector for geometry parameters x = (d_um, f)."""
+def _model(x, measurements, birefringence, peak_power):
+    """Sigma-weighted residuals at x = (d_um, f), the penalized count, and their Jacobian.
+
+    Each model sideband solves dk(w_s; x) = 0, so by the implicit function
+    theorem dw_s/dx = -(2 k_x(w_p) - k_x(w_s) - k_x(w_i)) / (k'(w_i) - k'(w_s))
+    and dw_i/dx = -dw_s/dx, where k' is the profile's inverse group velocity
+    and k_x is the spline, through the profile's own frequencies, of
+    (w/c) dn_eff/dx from ``he11_index_gradient``.  A residual row is
+    -lambda^2/(2 pi c) dw/dx / sigma; a penalized row is zero.
+    """
+    geometry = FiberAxisGeometry(core_diameter=x[0] * 1e-6, air_filling_fraction=x[1])
+    pumps = np.array([m.pump_wavelength for m in measurements])
     try:
-        geometry = FiberAxisGeometry(
-            core_diameter=x[0] * 1e-6, air_filling_fraction=x[1]
-        )
         profile = DispersionProfile.from_geometry(
             geometry, axis=Axis.FAST, n_points=_FIT_PROFILE_POINTS
         )
-    except (ValueError, ModeCutoffError, DomainError):
-        profile = None
-
-    points = [None] * len(measurements)
-    if profile is not None:
         fiber = FiberSpec(
             fast_axis=geometry,
             slow_axis=geometry,
@@ -144,27 +165,42 @@ def _model_residuals(x, measurements, birefringence, peak_power):
             length=1.0,
             birefringence_override=birefringence,
         )
-        pumps = np.array([m.pump_wavelength for m in measurements])
-        try:
-            points = solve_phasematch(pumps, fiber, peak_power, profile=profile)
-        except (DomainError, ModeCutoffError):
-            pass
+        points = solve_phasematch(pumps, fiber, peak_power, profile=profile)
+    except (ModeCutoffError, DomainError):
+        points = [None] * len(measurements)
 
-    residuals = []
+    found = [r for r, point in enumerate(points) if point is not None]
+    d_omega_s = np.zeros((len(points), 2))
+    if found:
+        omegas = profile.omegas
+        dn = he11_index_gradient(_TWO_PI_C / omegas, geometry, profile.n_eff)
+        dn[:, 0] *= 1e-6  # x[0] is in um
+        k_x = make_interp_spline(omegas, dn * (omegas / C_LIGHT)[:, None], k=_SPLINE_ORDER)
+        omega_p = _TWO_PI_C / pumps[found]
+        omega_s = _TWO_PI_C / np.array([points[r].signal_wavelength for r in found])
+        omega_i = 2.0 * omega_p - omega_s
+        slope = inverse_group_velocity(omega_i, profile) - inverse_group_velocity(
+            omega_s, profile
+        )
+        d_omega_s[found] = -(2.0 * k_x(omega_p) - k_x(omega_s) - k_x(omega_i)) / slope[:, None]
+
+    residuals, rows = [], []
     penalized = 0
-    for m, point in zip(measurements, points):
-        for observed, model in (
-            (m.signal_wavelength, point and point.signal_wavelength),
-            (m.idler_wavelength, point and point.idler_wavelength),
+    for r, (m, point) in enumerate(zip(measurements, points)):
+        for observed, model, sign in (
+            (m.signal_wavelength, point and point.signal_wavelength, 1.0),
+            (m.idler_wavelength, point and point.idler_wavelength, -1.0),
         ):
             if observed is None:
                 continue
             if model is None:
                 residuals.append(PENALTY_RESIDUAL)
+                rows.append(np.zeros(2))
                 penalized += 1
             else:
                 residuals.append((model - observed) / m.sigma)
-    return np.asarray(residuals), penalized
+                rows.append(-sign * model**2 / _TWO_PI_C * d_omega_s[r] / m.sigma)
+    return np.asarray(residuals), penalized, np.array(rows)
 
 
 def fit_geometry(
@@ -176,42 +212,53 @@ def fit_geometry(
 ):
     """Fit (core diameter, filling fraction) of the guiding axis to the data.
 
-    Bounded trust-region least squares from `n_starts` deterministic starting
-    points (the initial guess plus fixed jitters); the lowest-cost converged
-    solution wins, with lexicographic (diameter, fraction) tie-breaking.
-    Parameter sigmas come from the inverse Gauss-Newton Hessian of the
-    sigma-weighted residuals.  `birefringence` is the (signed) index
-    difference assumed when solving the model phasematch.
+    Bounded trust-region least squares from `n_starts` (1 to 5) deterministic
+    starting points (the initial guess plus fixed jitters); the lowest-cost
+    converged solution wins, with lexicographic (diameter, fraction)
+    tie-breaking.  The Jacobian is the implicit-function derivative of the
+    model sidebands (see `_model`); the residual and Jacobian at one point
+    share one profile build and one phasematch solve.  Parameter sigmas come
+    from the inverse Gauss-Newton Hessian of that Jacobian at the solution.
+    `birefringence` is the (signed) index difference assumed when solving the
+    model phasematch.
     """
     if not measurements:
         raise FitError("no measurements to fit")
+    if (
+        isinstance(n_starts, bool)
+        or not isinstance(n_starts, numbers.Integral)
+        or not 1 <= n_starts <= len(_JITTERS)
+    ):
+        raise ValueError(f"n_starts must be an integer in 1..{len(_JITTERS)}, got {n_starts!r}")
     if initial_guess is None:
         initial_guess = FiberAxisGeometry(1.75e-6, 0.5)
 
-    def objective(x):
-        return _model_residuals(x, measurements, birefringence, peak_power)[0]
+    memo = [None, None]  # the last x and its _model output
+
+    def model(x):
+        if not np.array_equal(memo[0], x):
+            memo[:] = x.copy(), _model(x, measurements, birefringence, peak_power)
+        return memo[1]
 
     x0 = np.array([initial_guess.core_diameter * 1e6, initial_guess.air_filling_fraction])
     lo = np.array([DIAMETER_BOUNDS[0] * 1e6, FILLING_BOUNDS[0]])
     hi = np.array([DIAMETER_BOUNDS[1] * 1e6, FILLING_BOUNDS[1]])
     x0 = np.clip(x0, lo, hi)
-    # Fixed relative jitters keep restarts deterministic.
-    jitters = [(0.0, 0.0), (0.03, 0.02), (-0.03, -0.02), (0.06, -0.03), (-0.06, 0.03)]
 
     best = None
-    for jd, jf in jitters[: max(1, n_starts)]:
+    for jd, jf in _JITTERS[:n_starts]:
         start = np.clip(x0 * np.array([1.0 + jd, 1.0 + jf]), lo, hi)
         # Package errors inside the model become penalty residuals in
-        # _model_residuals; anything else is a bug and propagates.
+        # _model; anything else is a bug and propagates.
         fit = least_squares(
-            objective,
+            lambda x: model(x)[0],
             x0=start,
+            jac=lambda x: model(x)[2],
             bounds=(lo, hi),
             method="trf",
             xtol=1e-6,
             ftol=1e-10,
             gtol=1e-10,
-            diff_step=1e-4,
         )
         if not fit.success:
             continue
@@ -222,10 +269,7 @@ def fit_geometry(
         raise FitError("no restart converged")
     fit = best[1]
 
-    residuals, penalized = _model_residuals(
-        fit.x, measurements, birefringence, peak_power
-    )
-    jac = fit.jac
+    residuals, penalized, jac = model(fit.x)
     try:
         cov = np.linalg.inv(jac.T @ jac)
         sigmas = np.sqrt(np.diag(cov))
@@ -239,6 +283,6 @@ def fit_geometry(
         filling_fraction_sigma=float(sigmas[1]),
         residual_rms=float(np.sqrt(np.mean(residuals**2))),
         n_penalized=penalized,
-        n_starts=max(1, n_starts),
+        n_starts=n_starts,
         cost=float(fit.cost),
     )

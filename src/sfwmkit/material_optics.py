@@ -28,6 +28,10 @@ of its characteristic function, found once per geometry.
 one root finder of the package: the mode solvers, the sideband refine of
 ``phasematch.solve_phasematch`` and the group-velocity-matched pump of
 ``phasematch.gvm_pump_wavelength`` all call it.
+
+``he11_index_gradient`` gives the derivative of the HE11 index in the two
+geometry parameters by implicit differentiation of the HE11 and FSM roots;
+the geometry fit builds its exact Jacobian from it.
 """
 
 import math
@@ -50,6 +54,7 @@ __all__ = [
     "unit_cell_radii",
     "fsm_cladding_index_grid",
     "he11_effective_index_grid",
+    "he11_index_gradient",
     "chandrupatla",
 ]
 
@@ -397,3 +402,58 @@ def he11_effective_index_grid(wavelengths, geometry):
     return _bracketed_root(
         _he11_char, lo, n_core - margin, (k0_, radius, n_core, n_clad), "HE11"
     )
+
+
+def _char_partials(char, args, which, rel_step=1e-7):
+    """Central-difference partials of char(*args) in the arguments at positions `which`.
+
+    The characteristic functions are closed-form Bessel expressions, so a
+    relative step of 1e-7 leaves an error near 1e-9 with no root solve.
+    """
+    partials = []
+    for i in which:
+        h = rel_step * np.abs(args[i])
+        up, down = list(args), list(args)
+        up[i], down[i] = args[i] + h, args[i] - h
+        partials.append((char(*up) - char(*down)) / (2.0 * h))
+    return partials
+
+
+def _fsm_index_gradient(wl, geometry):
+    """The FSM cladding index at wavelengths wl [m] and its (N, 2) gradient in (d, f).
+
+    The root of G = _fsm_char moves with the unit-cell radii as
+    dn_clad = -(G_r dr_hole + G_R dR)/G_n.  Both radii are proportional to d
+    at fixed f, and f enters only through d_hole/pitch = sqrt(2 sqrt(3) f/pi).
+    """
+    d, f = geometry.core_diameter, geometry.air_filling_fraction
+    n_si = silica_index(wl)
+    n_clad = fsm_cladding_index_grid(wl, geometry)
+    r_hole, r_cell = unit_cell_radii(geometry)
+    d_rel = np.sqrt(2.0 * _SQRT3 * f / np.pi)
+    # d(ln pitch)/df = d(d_rel)/df / (2 - d_rel), with d(d_rel)/df = d_rel/(2f).
+    dlog_pitch_df = 0.5 * d_rel / f / (2.0 - d_rel)
+    dr_hole = np.array([r_hole / d, r_hole * (0.5 / f + dlog_pitch_df)])
+    dr_cell = np.array([r_cell / d, r_cell * dlog_pitch_df])
+    g_n, g_r, g_R = _char_partials(
+        _fsm_char, (n_clad, 2.0 * np.pi / wl, n_si, r_hole, r_cell), (0, 3, 4)
+    )
+    return n_clad, -(np.outer(g_r, dr_hole) + np.outer(g_R, dr_cell)) / g_n[:, None]
+
+
+def he11_index_gradient(wavelengths, geometry, n_eff):
+    """d n_eff / d(core_diameter [m], air_filling_fraction) at HE11 roots n_eff.
+
+    Implicit differentiation of the root behind ``he11_effective_index_grid``
+    (`n_eff` are its values at `wavelengths`): with F = _he11_char, the root
+    moves with the core radius a = d/2 and the FSM cladding index (solved
+    again here) as dn_eff = -(F_a da + F_nclad dn_clad)/F_n.  Returns an
+    array of shape (N, 2).
+    """
+    wl = np.atleast_1d(np.asarray(wavelengths, dtype=float))
+    n_clad, dn_clad = _fsm_index_gradient(wl, geometry)
+    args = (np.asarray(n_eff, dtype=float), 2.0 * np.pi / wl, 0.5 * geometry.core_diameter)
+    f_n, f_a, f_clad = _char_partials(
+        _he11_char, args + (silica_index(wl), n_clad), (0, 2, 4)
+    )
+    return -(np.outer(f_a, [0.5, 0.0]) + f_clad[:, None] * dn_clad) / f_n[:, None]

@@ -1,6 +1,10 @@
 import importlib.resources
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,3 +320,18 @@ class TestDeterminism:
         value = out.split(":")[1].strip().rstrip("}").strip()
         digits = value.replace(".", "").replace("-", "").lstrip("0")
         assert len(digits) <= 12
+
+    def test_purity_identical_across_blas_threads(self):
+        # The purity drift is a difference of two ~0.887 purities; it is
+        # printed only to their 1e-12 resolution, so the last-bit rounding
+        # of a threaded SVD does not show.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            argv = [sys.executable, "-m", "sfwmkit.cli", "purity", "--config", "paper40cm.json"]
+            run = subprocess.run(argv, env=env, capture_output=True, check=True)
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["purity_drift"] > 0

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sfwmkit import fiber_fit as ff
+from sfwmkit.dispersion import DispersionProfile, zero_gvd_wavelengths
 from sfwmkit.errors import ConfigError
 from sfwmkit.material_optics import FiberAxisGeometry, FiberSpec
 from sfwmkit.phasematch import solve_phasematch
@@ -102,6 +105,56 @@ class TestFitGeometry:
         assert result.core_diameter_sigma > 0
         assert result.filling_fraction_sigma > 0
 
+    def test_profile_value_error_propagates(self, fast_geometry, monkeypatch):
+        # Inside the fit box no input check of the geometry or the profile
+        # can fail, so a ValueError there is a bug, not a penalty.
+        rows = _synthetic_measurements(fast_geometry, PUMPS[:2])
+
+        def broken(*args, **kwargs):
+            raise ValueError("bug in the profile")
+
+        monkeypatch.setattr(ff.DispersionProfile, "from_geometry", broken)
+        with pytest.raises(ValueError, match="bug in the profile"):
+            ff.fit_geometry(rows, n_starts=1, birefringence=DN)
+
+    @pytest.mark.parametrize("n_starts", [0, -3, 6, 7, 2.0, True, "2"])
+    def test_n_starts_outside_range_rejected(self, fast_geometry, n_starts):
+        rows = _synthetic_measurements(fast_geometry, PUMPS[:2])
+        with pytest.raises(ValueError, match=r"1\.\.5"):
+            ff.fit_geometry(rows, n_starts=n_starts, birefringence=DN)
+
+    def test_reports_starts_run(self, fast_geometry, monkeypatch):
+        rows = _synthetic_measurements(fast_geometry, PUMPS[:3])
+        starts = []
+        least_squares = ff.least_squares
+
+        def counted(*args, **kwargs):
+            starts.append(kwargs["x0"])
+            return least_squares(*args, **kwargs)
+
+        monkeypatch.setattr(ff, "least_squares", counted)
+        result = ff.fit_geometry(rows, n_starts=3, birefringence=DN)
+        assert result.n_starts == len(starts) == 3
+
+    def test_one_profile_per_accepted_step(self, fast_geometry, monkeypatch):
+        # The residual and the Jacobian at one point share one profile
+        # build; with a differenced Jacobian this fit took about 21.
+        rows = _synthetic_measurements(fast_geometry, PUMPS)
+        builds = []
+        from_geometry = DispersionProfile.from_geometry
+
+        def counted(geometry, **kwargs):
+            builds.append(geometry)
+            return from_geometry(geometry, **kwargs)
+
+        monkeypatch.setattr(ff.DispersionProfile, "from_geometry", counted)
+        guess = FiberAxisGeometry(
+            fast_geometry.core_diameter * 1.01, fast_geometry.air_filling_fraction * 1.01
+        )
+        result = ff.fit_geometry(rows, guess, n_starts=1, birefringence=DN)
+        assert result.n_penalized == 0
+        assert len(builds) <= 10
+
     def test_program_errors_propagate(self, fast_geometry, monkeypatch):
         # Package errors become penalty residuals; anything else is a bug.
         rows = _synthetic_measurements(fast_geometry, PUMPS[:2])
@@ -123,3 +176,59 @@ class TestFitGeometry:
         b = ff.fit_geometry(rows, n_starts=2, birefringence=DN)
         assert a.geometry == b.geometry
         assert a.cost == b.cost
+
+
+class TestJacobian:
+    @staticmethod
+    def _rows_near_model(x, pumps):
+        """Rows whose observed sidebands lie 1e-4 off the model's at x (any pump)."""
+        geometry = FiberAxisGeometry(x[0] * 1e-6, x[1])
+        profile = DispersionProfile.from_geometry(geometry, n_points=192)
+        fiber = FiberSpec(geometry, geometry, 0.0, 1.0, DN)
+        rows = []
+        for lam_p, point in zip(pumps, solve_phasematch(pumps, fiber, profile=profile)):
+            lam_s, lam_i = (0.9 * lam_p, 1.1 * lam_p) if point is None else (
+                point.signal_wavelength,
+                point.idler_wavelength,
+            )
+            rows.append(
+                ff.PhasematchMeasurement(lam_p, lam_s * (1 + 1e-4), lam_i * (1 - 1e-4), 0.1e-9)
+            )
+        return rows
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(core_um=st.floats(1.0, 3.0), fill=st.floats(0.3, 0.7))
+    def test_matches_central_difference(self, core_um, fill):
+        # Pumps 20-50 nm above the zero-GVD wavelength phasematch over most
+        # of the box.  The fourth-order central difference of the residuals
+        # is exact to ~1e-7 at a relative step of 3e-5, where the sidebands'
+        # 1e5 rad/s solve tolerance is still far below the residual change.
+        x = np.array([core_um, fill])
+        zeros = zero_gvd_wavelengths(
+            DispersionProfile.from_geometry(FiberAxisGeometry(core_um * 1e-6, fill), n_points=192),
+            (550e-9, 1250e-9),
+        )
+        assume(zeros)
+        rows = self._rows_near_model(x, zeros[0] + np.array([20e-9, 35e-9, 50e-9]))
+        residuals, penalized, jac = ff._model(x, rows, DN, 0.0)
+        assume(penalized < len(residuals))
+        numeric = np.zeros_like(jac)
+        for j in range(2):
+            h = np.zeros(2)
+            h[j] = 3e-5 * x[j]
+            shifted = [ff._model(x + k * h, rows, DN, 0.0) for k in (-2, -1, 1, 2)]
+            assume(all(model[1] == penalized for model in shifted))
+            r = [model[0] for model in shifted]
+            numeric[:, j] = (8.0 * (r[2] - r[1]) - (r[3] - r[0])) / (12.0 * h[j])
+        assert np.abs(jac - numeric).max() <= 1e-5 * np.abs(numeric).max()
+
+    def test_unmatched_pump_gives_zero_row(self, fast_geometry):
+        # At 700 nm the paper fiber has no phasematch: both of its residuals
+        # are penalties, and a penalty does not move with the geometry.
+        x = np.array([fast_geometry.core_diameter * 1e6, fast_geometry.air_filling_fraction])
+        rows = self._rows_near_model(x, np.array([700e-9, 775e-9, 790e-9]))
+        residuals, penalized, jac = ff._model(x, rows, DN, 0.0)
+        assert penalized == 2
+        assert np.all(residuals[:2] == ff.PENALTY_RESIDUAL)
+        assert np.all(jac[:2] == 0.0)
+        assert np.all(np.abs(jac[2:]) > 0.0)

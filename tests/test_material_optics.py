@@ -281,3 +281,32 @@ class TestSpecTypes:
             mo.SellmeierModel(())
         with pytest.raises(ValueError):
             mo.SellmeierModel(((-0.5, 0.01),))
+
+
+class TestHe11IndexGradient:
+    @staticmethod
+    def _central_difference(solve, geometry, j, rel_step=1e-5):
+        """d solve(wl, geometry)/d(core_diameter, air_filling_fraction)[j], all 192 points."""
+        wl = _band_wavelengths(192)
+        x = np.array([geometry.core_diameter, geometry.air_filling_fraction])
+        h = np.zeros(2)
+        h[j] = rel_step * x[j]
+        up, down = mo.FiberAxisGeometry(*(x + h)), mo.FiberAxisGeometry(*(x - h))
+        return (solve(wl, up) - solve(wl, down)) / (2.0 * h[j])
+
+    @pytest.mark.parametrize("core, fill", REFERENCE_GEOMETRIES[2:])
+    def test_matches_central_difference(self, core, fill):
+        # The four corners of the fit box and (1.65 um, 0.46).
+        geometry = mo.FiberAxisGeometry(core, fill)
+        wl = _band_wavelengths(192)
+        n_clad, d_clad = mo._fsm_index_gradient(wl, geometry)
+        assert np.array_equal(n_clad, mo.fsm_cladding_index_grid(wl, geometry))
+        grad = mo.he11_index_gradient(wl, geometry, mo.he11_effective_index_grid(wl, geometry))
+        assert grad.shape == (192, 2)
+        for solve, analytic in (
+            (mo.fsm_cladding_index_grid, d_clad),
+            (mo.he11_effective_index_grid, grad),
+        ):
+            for j in range(2):
+                numeric = self._central_difference(solve, geometry, j)
+                assert np.abs(analytic[:, j] - numeric).max() < 1e-7 * np.abs(numeric).max()
