@@ -304,7 +304,9 @@ def _cmd_phasematch(config, args):
 
 def _cmd_gvm(config, args):
     lam = gvm_pump_wavelength(config.fiber, peak_power=resolve_peak_power(config.pump))
-    _write(args.out, _json_dump({"lambda_p0_nm": float(_fmt(lam * 1e9))}))
+    # Rounded to 1e-3 nm: the root is refined only to 1e-12 m, so the digits
+    # past that move with any change to the root finder.
+    _write(args.out, _json_dump({"lambda_p0_nm": float(_fmt(round(lam * 1e9, 3)))}))
     return 0
 
 

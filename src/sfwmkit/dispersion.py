@@ -1,9 +1,11 @@
 """Wavevector, group velocity, GVD, zero-GVD finding and birefringence per fiber axis.
 
 Each profile interpolates k(omega) = n_eff(omega) omega / c with one quintic
-spline through the sampled mode indices; inverse group velocity and GVD are
-the exact first and second derivatives of that spline, valid over the whole
-sampled span, so the mode solvers in material_optics stay black boxes.
+spline through the sampled mode indices, held in piecewise power-basis form
+(a scipy PPoly), so k and its derivatives are one Horner evaluation on the
+located piece; inverse group velocity and GVD are the exact first and second
+derivatives of that spline, valid over the whole sampled span, so the mode
+solvers in material_optics stay black boxes.
 Chromatic-dispersion profiles use the calibrated vector model (HE11 core mode
 over the unit-cell space-filling-mode cladding); the axis birefringence uses
 the scalar LP01 model, which tracks the measured fast/slow index difference
@@ -44,7 +46,7 @@ class Axis(str, enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class DispersionProfile:
-    """n_eff(omega) samples for one axis plus a spline of k(omega)."""
+    """n_eff(omega) samples for one axis plus a piecewise polynomial of k(omega)."""
 
     axis: Axis
     omegas: np.ndarray  # strictly increasing angular frequencies [rad/s]
@@ -62,7 +64,7 @@ class DispersionProfile:
         object.__setattr__(self, "n_eff", n_eff)
         if self._spline is None:
             spline = make_interp_spline(omegas, n_eff * omegas / C_LIGHT, k=_SPLINE_ORDER)
-            object.__setattr__(self, "_spline", spline)
+            object.__setattr__(self, "_spline", PPoly.from_spline(spline))
 
     @classmethod
     def from_geometry(
@@ -125,14 +127,31 @@ def zero_gvd_wavelengths(profile, wavelength_band):
     """All zero-GVD wavelengths [m] in the band, sorted in increasing order.
 
     The roots are the real roots, inside the profile span, of the piecewise
-    polynomial second derivative of the k(omega) spline; empty list if there
-    are none in the band.
+    cubic second derivative of the k(omega) spline; empty list if there are
+    none in the band.  By the convex-hull property a cubic whose four
+    Bernstein coefficients on its piece are all of one sign has no root
+    there, so only the other pieces (in contiguous runs, which keeps a root
+    on a shared breakpoint from being reported twice) go to ``PPoly.roots``;
+    the roots are those of the whole second derivative, bit for bit.
     """
     lam_lo, lam_hi = wavelength_band
     om_lo = 2 * np.pi * C_LIGHT / lam_hi
     om_hi = 2 * np.pi * C_LIGHT / lam_lo
-    second = PPoly.from_spline(profile._spline.derivative(2), extrapolate=False)
-    roots = second.roots(discontinuity=False, extrapolate=False)
+    second = profile._spline.derivative(2)
+    h = np.diff(second.x)
+    a3, a2, a1, a0 = second.c * h ** np.arange(3, -1, -1)[:, None]
+    bernstein = np.array([a0, a0 + a1 / 3, a0 + (2 * a1 + a2) / 3, a0 + a1 + a2 + a3])
+    # Rounding of the Bernstein coefficients stays far below this margin.
+    margin = 16 * np.finfo(float).eps * (abs(a0) + abs(a1) + abs(a2) + abs(a3))
+    one_sign = np.all(bernstein > margin, axis=0) | np.all(bernstein < -margin, axis=0)
+    pieces = np.flatnonzero(~one_sign)
+    roots = []
+    for run in np.split(pieces, np.flatnonzero(np.diff(pieces) > 1) + 1):
+        if run.size:
+            part = PPoly.construct_fast(
+                second.c[:, run[0] : run[-1] + 1], second.x[run[0] : run[-1] + 2]
+            )
+            roots.extend(part.roots(discontinuity=False, extrapolate=False))
     return sorted(float(2 * np.pi * C_LIGHT / om) for om in roots if om_lo <= om <= om_hi)
 
 

@@ -13,6 +13,7 @@ the parameter sigmas come from it.
 """
 
 import csv
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -142,65 +143,86 @@ def load_measurements(path):
     return rows
 
 
-def _model(x, measurements, birefringence, peak_power):
-    """Sigma-weighted residuals at x = (d_um, f), the penalized count, and their Jacobian.
+class _Model:
+    """Model sidebands at x = (d_um, f) and their sigma-weighted residuals.
 
-    Each model sideband solves dk(w_s; x) = 0, so by the implicit function
-    theorem dw_s/dx = -(2 k_x(w_p) - k_x(w_s) - k_x(w_i)) / (k'(w_i) - k'(w_s))
-    and dw_i/dx = -dw_s/dx, where k' is the profile's inverse group velocity
-    and k_x is the spline, through the profile's own frequencies, of
-    (w/c) dn_eff/dx from ``he11_index_gradient``.  A residual row is
-    -lambda^2/(2 pi c) dw/dx / sigma; a penalized row is zero.
+    The profile is None, and every point None, where the geometry has no
+    guided mode or no phasematch; otherwise a point is None where its pump
+    has no phasematch, and its residuals are penalized.  The Jacobian is
+    built on first access only.
     """
-    geometry = FiberAxisGeometry(core_diameter=x[0] * 1e-6, air_filling_fraction=x[1])
-    pumps = np.array([m.pump_wavelength for m in measurements])
-    try:
-        profile = DispersionProfile.from_geometry(
-            geometry, axis=Axis.FAST, n_points=_FIT_PROFILE_POINTS
-        )
-        fiber = FiberSpec(
-            fast_axis=geometry,
-            slow_axis=geometry,
-            gamma=0.0,
-            length=1.0,
-            birefringence_override=birefringence,
-        )
-        points = solve_phasematch(pumps, fiber, peak_power, profile=profile)
-    except (ModeCutoffError, DomainError):
-        points = [None] * len(measurements)
 
-    found = [r for r, point in enumerate(points) if point is not None]
-    d_omega_s = np.zeros((len(points), 2))
-    if found:
-        omegas = profile.omegas
-        dn = he11_index_gradient(_TWO_PI_C / omegas, geometry, profile.n_eff)
-        dn[:, 0] *= 1e-6  # x[0] is in um
-        k_x = make_interp_spline(omegas, dn * (omegas / C_LIGHT)[:, None], k=_SPLINE_ORDER)
-        omega_p = _TWO_PI_C / pumps[found]
-        omega_s = _TWO_PI_C / np.array([points[r].signal_wavelength for r in found])
-        omega_i = 2.0 * omega_p - omega_s
-        slope = inverse_group_velocity(omega_i, profile) - inverse_group_velocity(
-            omega_s, profile
-        )
-        d_omega_s[found] = -(2.0 * k_x(omega_p) - k_x(omega_s) - k_x(omega_i)) / slope[:, None]
-
-    residuals, rows = [], []
-    penalized = 0
-    for r, (m, point) in enumerate(zip(measurements, points)):
-        for observed, model, sign in (
-            (m.signal_wavelength, point and point.signal_wavelength, 1.0),
-            (m.idler_wavelength, point and point.idler_wavelength, -1.0),
-        ):
-            if observed is None:
-                continue
+    def __init__(self, x, measurements, birefringence, peak_power):
+        self.measurements = measurements
+        self.geometry = FiberAxisGeometry(core_diameter=x[0] * 1e-6, air_filling_fraction=x[1])
+        pumps = np.array([m.pump_wavelength for m in measurements])
+        try:
+            self.profile = DispersionProfile.from_geometry(
+                self.geometry, axis=Axis.FAST, n_points=_FIT_PROFILE_POINTS
+            )
+            fiber = FiberSpec(
+                fast_axis=self.geometry,
+                slow_axis=self.geometry,
+                gamma=0.0,
+                length=1.0,
+                birefringence_override=birefringence,
+            )
+            self.points = solve_phasematch(pumps, fiber, peak_power, profile=self.profile)
+        except (ModeCutoffError, DomainError):
+            self.profile, self.points = None, [None] * len(measurements)
+        residuals, self.penalized = [], 0
+        for _, observed, model, _, sigma in self._observed():
             if model is None:
                 residuals.append(PENALTY_RESIDUAL)
-                rows.append(np.zeros(2))
-                penalized += 1
+                self.penalized += 1
             else:
-                residuals.append((model - observed) / m.sigma)
-                rows.append(-sign * model**2 / _TWO_PI_C * d_omega_s[r] / m.sigma)
-    return np.asarray(residuals), penalized, np.array(rows)
+                residuals.append((model - observed) / sigma)
+        self.residuals = np.asarray(residuals)
+
+    def _observed(self):
+        """(row, observed, model, sign, sigma) per observed sideband; model None if penalized.
+
+        sign is +1 for a signal and -1 for an idler, the sign of dlambda/dw_s.
+        """
+        for r, (m, point) in enumerate(zip(self.measurements, self.points)):
+            for observed, model, sign in (
+                (m.signal_wavelength, point and point.signal_wavelength, 1.0),
+                (m.idler_wavelength, point and point.idler_wavelength, -1.0),
+            ):
+                if observed is not None:
+                    yield r, observed, model, sign, m.sigma
+
+    @functools.cached_property
+    def jacobian(self):
+        """Jacobian of the residuals in x.
+
+        Each model sideband solves dk(w_s; x) = 0, so by the implicit function
+        theorem dw_s/dx = -(2 k_x(w_p) - k_x(w_s) - k_x(w_i)) / (k'(w_i) - k'(w_s))
+        and dw_i/dx = -dw_s/dx, where k' is the profile's inverse group velocity
+        and k_x is the spline, through the profile's own frequencies, of
+        (w/c) dn_eff/dx from ``he11_index_gradient``.  A residual row is
+        -lambda^2/(2 pi c) dw/dx / sigma; a penalized row is zero.
+        """
+        found = [r for r, point in enumerate(self.points) if point is not None]
+        d_omega_s = np.zeros((len(self.points), 2))
+        if found:
+            omegas = self.profile.omegas
+            dn = he11_index_gradient(_TWO_PI_C / omegas, self.geometry, self.profile.n_eff)
+            dn[:, 0] *= 1e-6  # x[0] is in um
+            k_x = make_interp_spline(omegas, dn * (omegas / C_LIGHT)[:, None], k=_SPLINE_ORDER)
+            omega_p = _TWO_PI_C / np.array([self.measurements[r].pump_wavelength for r in found])
+            omega_s = _TWO_PI_C / np.array([self.points[r].signal_wavelength for r in found])
+            omega_i = 2.0 * omega_p - omega_s
+            slope = inverse_group_velocity(omega_i, self.profile) - inverse_group_velocity(
+                omega_s, self.profile
+            )
+            d_omega_s[found] = -(2.0 * k_x(omega_p) - k_x(omega_s) - k_x(omega_i)) / slope[:, None]
+        return np.array(
+            [
+                np.zeros(2) if model is None else -sign * model**2 / _TWO_PI_C * d_omega_s[r] / sigma
+                for r, _, model, sign, sigma in self._observed()
+            ]
+        )
 
 
 def fit_geometry(
@@ -216,8 +238,9 @@ def fit_geometry(
     starting points (the initial guess plus fixed jitters); the lowest-cost
     converged solution wins, with lexicographic (diameter, fraction)
     tie-breaking.  The Jacobian is the implicit-function derivative of the
-    model sidebands (see `_model`); the residual and Jacobian at one point
-    share one profile build and one phasematch solve.  Parameter sigmas come
+    model sidebands (see `_Model.jacobian`); the residual and Jacobian at one point
+    share one profile build and one phasematch solve, and the Jacobian is
+    built only where the solver asks for it.  Parameter sigmas come
     from the inverse Gauss-Newton Hessian of that Jacobian at the solution.
     `birefringence` is the (signed) index difference assumed when solving the
     model phasematch.
@@ -233,11 +256,11 @@ def fit_geometry(
     if initial_guess is None:
         initial_guess = FiberAxisGeometry(1.75e-6, 0.5)
 
-    memo = [None, None]  # the last x and its _model output
+    memo = [None, None]  # the last x and its _Model
 
     def model(x):
         if not np.array_equal(memo[0], x):
-            memo[:] = x.copy(), _model(x, measurements, birefringence, peak_power)
+            memo[:] = x.copy(), _Model(x, measurements, birefringence, peak_power)
         return memo[1]
 
     x0 = np.array([initial_guess.core_diameter * 1e6, initial_guess.air_filling_fraction])
@@ -249,11 +272,11 @@ def fit_geometry(
     for jd, jf in _JITTERS[:n_starts]:
         start = np.clip(x0 * np.array([1.0 + jd, 1.0 + jf]), lo, hi)
         # Package errors inside the model become penalty residuals in
-        # _model; anything else is a bug and propagates.
+        # _Model; anything else is a bug and propagates.
         fit = least_squares(
-            lambda x: model(x)[0],
+            lambda x: model(x).residuals,
             x0=start,
-            jac=lambda x: model(x)[2],
+            jac=lambda x: model(x).jacobian,
             bounds=(lo, hi),
             method="trf",
             xtol=1e-6,
@@ -269,9 +292,9 @@ def fit_geometry(
         raise FitError("no restart converged")
     fit = best[1]
 
-    residuals, penalized, jac = model(fit.x)
+    final = model(fit.x)
     try:
-        cov = np.linalg.inv(jac.T @ jac)
+        cov = np.linalg.inv(final.jacobian.T @ final.jacobian)
         sigmas = np.sqrt(np.diag(cov))
     except np.linalg.LinAlgError:
         sigmas = np.array([np.inf, np.inf])
@@ -281,8 +304,8 @@ def fit_geometry(
         ),
         core_diameter_sigma=float(sigmas[0] * 1e-6),
         filling_fraction_sigma=float(sigmas[1]),
-        residual_rms=float(np.sqrt(np.mean(residuals**2))),
-        n_penalized=penalized,
+        residual_rms=float(np.sqrt(np.mean(final.residuals**2))),
+        n_penalized=final.penalized,
         n_starts=n_starts,
         cost=float(fit.cost),
     )

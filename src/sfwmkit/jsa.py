@@ -17,6 +17,7 @@ support of the pump function.
 """
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,6 +205,38 @@ def phasematch_function(
     return value
 
 
+@functools.lru_cache(maxsize=32)
+def _ridge(pump: PumpSpec, fiber: FiberSpec, peak_power, ridge_samples):
+    """Phasematch ridge across the pump band, which does not depend on the length.
+
+    Solves `ridge_samples` pumps spanning the pump support in one
+    `solve_phasematch` call; returns read-only arrays (omega_s, omega_i,
+    slope_s, slope_i) of the phasematched pairs and their dk slopes
+    d(dk)/d(omega) at fixed pump.  Memoized, so the purity gate's grids at
+    n and 2n and every length of a scan share one ridge: callers pass the
+    fiber with its length set to 1 m.
+    """
+    profile = axis_profile(fiber, Axis.FAST)
+    dn = birefringence(pump.center_wavelength, fiber)
+    e_lo, e_hi = _pump_field_support(pump)
+    omega_p = np.linspace(e_lo, e_hi, ridge_samples)
+    points = solve_phasematch(2.0 * np.pi * C_LIGHT / omega_p, fiber, peak_power)
+    found = [k for k, point in enumerate(points) if point is not None]
+    if not found:
+        raise GridError(
+            "no phasematched ridge anywhere in the pump band; cannot place grid"
+        )
+    omega_s = 2.0 * np.pi * C_LIGHT / np.array([points[k].signal_wavelength for k in found])
+    omega_i = 2.0 * np.pi * C_LIGHT / np.array([points[k].idler_wavelength for k in found])
+    slowness_p = inverse_group_velocity(omega_p[found], profile) + dn / C_LIGHT
+    slope_s = slowness_p - inverse_group_velocity(omega_s, profile)
+    slope_i = slowness_p - inverse_group_velocity(omega_i, profile)
+    ridge = (omega_s, omega_i, slope_s, slope_i)
+    for array in ridge:
+        array.setflags(write=False)
+    return ridge
+
+
 def adaptive_grid(
     pump: PumpSpec,
     fiber: FiberSpec,
@@ -216,7 +249,8 @@ def adaptive_grid(
     """Spectral grid that tracks the phasematch ridge across the pump band.
 
     For a handful of pump frequencies spanning the pump support the
-    phasematched (signal, idler) pair and the local dk slopes are computed;
+    phasematched (signal, idler) pair and the local dk slopes are computed
+    (once per pump and fiber geometry, whatever the length; see `_ridge`);
     each axis covers the union of the ridge points padded by `sidelobes` sinc
     lobes at the local slope, then is clipped to the support of the pump
     function (w_s + w_i within twice the pump support) and to the dispersion
@@ -224,36 +258,24 @@ def adaptive_grid(
     """
     if peak_power is None:
         peak_power = resolve_peak_power(pump)
-    profile = axis_profile(fiber, Axis.FAST)
-    dn = birefringence(pump.center_wavelength, fiber)
-    e_lo, e_hi = _pump_field_support(pump)
-
-    omega_p = np.linspace(e_lo, e_hi, ridge_samples)
-    points = solve_phasematch(2.0 * np.pi * C_LIGHT / omega_p, fiber, peak_power)
-    found = [k for k, point in enumerate(points) if point is not None]
-    if not found:
-        raise GridError(
-            "no phasematched ridge anywhere in the pump band; cannot place grid"
-        )
-    omega_s = 2.0 * np.pi * C_LIGHT / np.array([points[k].signal_wavelength for k in found])
-    omega_i = 2.0 * np.pi * C_LIGHT / np.array([points[k].idler_wavelength for k in found])
-    slowness_p = inverse_group_velocity(omega_p[found], profile) + dn / C_LIGHT
+    omega_s, omega_i, slope_s, slope_i = _ridge(
+        pump, dataclasses.replace(fiber, length=1.0), peak_power, ridge_samples
+    )
     lobe = 2.0 * np.pi * sidelobes / fiber.length
-    slope_s = slowness_p - inverse_group_velocity(omega_s, profile)
-    slope_i = slowness_p - inverse_group_velocity(omega_i, profile)
     reach_s = lobe / np.maximum(np.abs(slope_s), 1e-18)
     reach_i = lobe / np.maximum(np.abs(slope_i), 1e-18)
     s_lo, s_hi = float(np.min(omega_s - reach_s)), float(np.max(omega_s + reach_s))
     i_lo, i_hi = float(np.min(omega_i - reach_i)), float(np.max(omega_i + reach_i))
 
     # Clip to where the pump function is nonzero: w_s + w_i in [2 e_lo, 2 e_hi].
+    e_lo, e_hi = _pump_field_support(pump)
     s_lo = max(s_lo, 2.0 * e_lo - i_hi)
     s_hi = min(s_hi, 2.0 * e_hi - i_lo)
     i_lo = max(i_lo, 2.0 * e_lo - s_hi)
     i_hi = min(i_hi, 2.0 * e_hi - s_lo)
 
     # Clip to the dispersion band.
-    band_lo, band_hi = profile.span
+    band_lo, band_hi = axis_profile(fiber, Axis.FAST).span
     s_lo, s_hi = max(s_lo, band_lo), min(s_hi, band_hi)
     i_lo, i_hi = max(i_lo, band_lo), min(i_hi, band_hi)
     if s_hi <= s_lo or i_hi <= i_lo:

@@ -12,7 +12,7 @@ import pytest
 from sfwmkit import cli
 from sfwmkit.errors import ConfigError
 from sfwmkit.material_optics import FiberAxisGeometry, FiberSpec
-from sfwmkit.phasematch import PumpSpec
+from sfwmkit.phasematch import PumpSpec, gvm_pump_wavelength, resolve_peak_power
 
 FAST = FiberAxisGeometry(core_diameter=1.7507e-6, air_filling_fraction=0.511)
 
@@ -227,6 +227,14 @@ class TestSubcommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["lambda_p0_nm"] == pytest.approx(783.0, abs=3.0)
+
+    def test_gvm_printed_to_solver_resolution(self, capsys):
+        # The root is refined to 1e-12 m, so 1e-3 nm is the last printed digit.
+        config = cli.load_config("paper40cm.json")
+        code, out, _ = _run(["gvm", "--config", "paper40cm.json"], capsys)
+        assert code == 0
+        lam = gvm_pump_wavelength(config.fiber, peak_power=resolve_peak_power(config.pump))
+        assert json.loads(out)["lambda_p0_nm"] == round(lam * 1e9, 3)
 
     def test_phasematch_csv_shape(self, config_path, capsys):
         code, out, _ = _run(

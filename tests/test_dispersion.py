@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.interpolate import PPoly, make_interp_spline
 
 from sfwmkit import dispersion as disp
 from sfwmkit.constants import C_LIGHT
 from sfwmkit.errors import DomainError
-from sfwmkit.material_optics import FiberSpec
+from sfwmkit.material_optics import FiberAxisGeometry, FiberSpec
 
 
 def _profile_from_k(kfunc, om_lo=1.6e15, om_hi=3.2e15, n=512):
@@ -139,6 +140,93 @@ class TestPaperFiberProfile:
         a = disp.axis_profile(fiber_40cm, disp.Axis.FAST)
         b = disp.axis_profile(fiber_40cm, disp.Axis.FAST)
         assert a is b
+
+
+def _unfiltered_zero_gvd(profile, band):
+    """zero_gvd_wavelengths without the Bernstein filter: every piece's roots."""
+    om_lo, om_hi = 2 * np.pi * C_LIGHT / band[1], 2 * np.pi * C_LIGHT / band[0]
+    roots = profile._spline.derivative(2).roots(discontinuity=False, extrapolate=False)
+    return sorted(float(2 * np.pi * C_LIGHT / om) for om in roots if om_lo <= om <= om_hi)
+
+
+class TestPowerBasis:
+    """k(omega) in power-basis form against the B-spline of the same samples."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[("fast", 2048), ("slow", 2048), ((1.65e-6, 0.46), 192), ((1.85e-6, 0.56), 192)],
+        ids=["paper-fast", "paper-slow", "fit-box-low", "fit-box-high"],
+    )
+    def profile(self, request, fiber_40cm):
+        axis, n_points = request.param
+        geometry = fiber_40cm.axis_geometry(axis) if isinstance(axis, str) else FiberAxisGeometry(*axis)
+        return disp.DispersionProfile.from_geometry(geometry, n_points=n_points)
+
+    def test_matches_bspline(self, profile):
+        bspline = make_interp_spline(
+            profile.omegas, profile.n_eff * profile.omegas / C_LIGHT, k=disp._SPLINE_ORDER
+        )
+        om = np.linspace(*profile.span, 20001)
+        for order, function in enumerate((disp.wavevector, disp.inverse_group_velocity)):
+            reference = bspline(om, nu=order)
+            assert np.abs(function(om, profile) / reference - 1).max() <= 1e-12
+        reference = bspline(om, nu=2)
+        assert np.abs(disp.gvd(om, profile) - reference).max() <= 1e-6 * np.abs(reference).max()
+        assert np.array_equal(profile.index_at(om), disp.wavevector(om, profile) * C_LIGHT / om)
+
+
+class TestZeroGvdFilter:
+    """Only pieces whose k'' can vanish are searched; the roots stay bit-identical."""
+
+    BAND = (560e-9, 1000e-9)
+
+    def test_design_sweep_box(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            geometry = FiberAxisGeometry(rng.uniform(1.70e-6, 1.80e-6), rng.uniform(0.49, 0.53))
+            profile = disp.DispersionProfile.from_geometry(geometry)
+            roots = disp.zero_gvd_wavelengths(profile, self.BAND)
+            assert roots and roots == _unfiltered_zero_gvd(profile, self.BAND)
+
+    @staticmethod
+    def _synthetic(second):
+        """Profile whose k'' is the piecewise cubic `second(u)` on 32 pieces, u in [0, 1).
+
+        The breakpoints are integers and the piece width a power of two, so
+        x[j] + h is x[j + 1] exactly.  k's quintic coefficients are chosen so
+        that PPoly.derivative(2) returns k'' = sum_m c_m u^m exactly.
+        """
+        h = 2.0**45
+        omegas = 2.0e15 + h * np.arange(33)
+        quintic = np.zeros((6, 32))
+        for j in range(32):
+            c0, c1, c2, c3 = second(j)  # k'' = c0 + c1 u + c2 u^2 + c3 u^3
+            quintic[:4, j] = c3 / h**3 / 20, c2 / h**2 / 12, c1 / h / 6, c0 / 2
+        spline = PPoly(quintic, omegas)
+        return disp.DispersionProfile(
+            axis=disp.Axis.FAST, omegas=omegas, n_eff=np.ones(33), _spline=spline
+        )
+
+    def test_two_roots_in_one_piece(self):
+        s = 2.0**-86
+        # Piece 10: s (u - 1/4)(u - 3/4), positive at both ends; elsewhere s (1 + u^2).
+        profile = self._synthetic(
+            lambda j: (3 * s / 16, -s, s, 0.0) if j == 10 else (s, 0.0, s, 0.0)
+        )
+        band = (550e-9, 1250e-9)
+        roots = disp.zero_gvd_wavelengths(profile, band)
+        assert len(roots) == 2
+        assert roots == _unfiltered_zero_gvd(profile, band)
+
+    def test_root_on_breakpoint_not_duplicated(self):
+        s = 2.0**-86
+        # k'' = s (u - 1) on piece 20 and s u on piece 21: one root, on x[21].
+        pieces = {20: (-s, s, 0.0, 0.0), 21: (0.0, s, 0.0, 0.0)}
+        profile = self._synthetic(lambda j: pieces.get(j, (s, 0.0, s, 0.0)))
+        band = (550e-9, 1250e-9)
+        roots = disp.zero_gvd_wavelengths(profile, band)
+        assert roots == [2 * np.pi * C_LIGHT / profile.omegas[21]]
+        assert roots == _unfiltered_zero_gvd(profile, band)
 
 
 class TestBirefringence:

@@ -155,6 +155,35 @@ class TestFitGeometry:
         assert result.n_penalized == 0
         assert len(builds) <= 10
 
+    def test_gradient_built_only_for_the_jacobian(self, fast_geometry, monkeypatch):
+        # The index gradient (an FSM re-solve) is built when least_squares
+        # asks for the Jacobian or the sigmas need it, never for a residual.
+        rows = _synthetic_measurements(fast_geometry, PUMPS)
+        gradients, jacobian_evals = [], []
+        he11_index_gradient, least_squares = ff.he11_index_gradient, ff.least_squares
+
+        def counted_gradient(*args):
+            gradients.append(args[1])
+            return he11_index_gradient(*args)
+
+        def counted_fit(*args, **kwargs):
+            fit = least_squares(*args, **kwargs)
+            jacobian_evals.append(fit.njev)
+            return fit
+
+        monkeypatch.setattr(ff, "he11_index_gradient", counted_gradient)
+        monkeypatch.setattr(ff, "least_squares", counted_fit)
+        x = np.array([fast_geometry.core_diameter * 1e6, fast_geometry.air_filling_fraction])
+        model = ff._Model(x, rows, DN, 0.0)
+        assert model.penalized == 0 and gradients == []
+        assert model.jacobian is model.jacobian and len(gradients) == 1
+        gradients.clear()
+        guess = FiberAxisGeometry(
+            fast_geometry.core_diameter * 1.01, fast_geometry.air_filling_fraction * 1.01
+        )
+        ff.fit_geometry(rows, guess, n_starts=1, birefringence=DN)
+        assert len(gradients) <= jacobian_evals[0] + 1
+
     def test_program_errors_propagate(self, fast_geometry, monkeypatch):
         # Package errors become penalty residuals; anything else is a bug.
         rows = _synthetic_measurements(fast_geometry, PUMPS[:2])
@@ -210,15 +239,16 @@ class TestJacobian:
         )
         assume(zeros)
         rows = self._rows_near_model(x, zeros[0] + np.array([20e-9, 35e-9, 50e-9]))
-        residuals, penalized, jac = ff._model(x, rows, DN, 0.0)
+        model = ff._Model(x, rows, DN, 0.0)
+        residuals, penalized, jac = model.residuals, model.penalized, model.jacobian
         assume(penalized < len(residuals))
         numeric = np.zeros_like(jac)
         for j in range(2):
             h = np.zeros(2)
             h[j] = 3e-5 * x[j]
-            shifted = [ff._model(x + k * h, rows, DN, 0.0) for k in (-2, -1, 1, 2)]
-            assume(all(model[1] == penalized for model in shifted))
-            r = [model[0] for model in shifted]
+            shifted = [ff._Model(x + k * h, rows, DN, 0.0) for k in (-2, -1, 1, 2)]
+            assume(all(model.penalized == penalized for model in shifted))
+            r = [model.residuals for model in shifted]
             numeric[:, j] = (8.0 * (r[2] - r[1]) - (r[3] - r[0])) / (12.0 * h[j])
         assert np.abs(jac - numeric).max() <= 1e-5 * np.abs(numeric).max()
 
@@ -227,7 +257,8 @@ class TestJacobian:
         # are penalties, and a penalty does not move with the geometry.
         x = np.array([fast_geometry.core_diameter * 1e6, fast_geometry.air_filling_fraction])
         rows = self._rows_near_model(x, np.array([700e-9, 775e-9, 790e-9]))
-        residuals, penalized, jac = ff._model(x, rows, DN, 0.0)
+        model = ff._Model(x, rows, DN, 0.0)
+        residuals, penalized, jac = model.residuals, model.penalized, model.jacobian
         assert penalized == 2
         assert np.all(residuals[:2] == ff.PENALTY_RESIDUAL)
         assert np.all(jac[:2] == 0.0)

@@ -240,3 +240,33 @@ class TestPurityVsLength:
     def test_lengths_echoed_in_order(self, pump_40cm, fiber_40cm):
         results = jsamod.purity_vs_length(pump_40cm, fiber_40cm, [0.4, 1.0])
         assert [r[0] for r in results] == [0.4, 1.0]
+
+
+class TestRidge:
+    """The ridge is solved once per pump and fiber geometry, whatever the length."""
+
+    def test_one_ridge_solve_for_gate_and_scan(self, pump_40cm, fiber_40cm, monkeypatch):
+        pump = dataclasses.replace(pump_40cm, center_wavelength=784.123e-9)
+        solves = []
+        solve_phasematch = jsamod.solve_phasematch
+
+        def counted(*args, **kwargs):
+            solves.append(args[0])
+            return solve_phasematch(*args, **kwargs)
+
+        monkeypatch.setattr(jsamod, "solve_phasematch", counted)
+        jsamod.adaptive_grid(pump, fiber_40cm, 256, 256)
+        jsamod.adaptive_grid(pump, fiber_40cm, 512, 512)
+        jsamod.purity_vs_length(pump, fiber_40cm, [0.4, 3.0], n_points=64)
+        assert len(solves) == 1
+
+    def test_grid_independent_of_cache_state(self, pump_40cm, fiber_40cm):
+        ridge = jsamod._ridge(pump_40cm, dataclasses.replace(fiber_40cm, length=1.0), 0.0, 9)
+        assert not any(array.flags.writeable for array in ridge)
+        for length in (0.4, 100.0):
+            cut = dataclasses.replace(fiber_40cm, length=length)
+            warm = jsamod.adaptive_grid(pump_40cm, cut, 128, 128)
+            jsamod._ridge.cache_clear()
+            cold = jsamod.adaptive_grid(pump_40cm, cut, 128, 128)
+            assert np.array_equal(warm.signal_omegas, cold.signal_omegas)
+            assert np.array_equal(warm.idler_omegas, cold.idler_omegas)
