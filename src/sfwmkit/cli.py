@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import dataclasses
 import importlib.resources
-import io
 import json
 import math
 import sys
@@ -29,8 +28,8 @@ from .dispersion import (
     zero_gvd_wavelengths,
 )
 from .errors import ConfigError, SfwmkitError
-from .fiber_fit import fit_geometry, load_measurements
-from .hom import HomModelParams, fit_purity, simulate_counts
+from .fiber_fit import fit_geometry, load_measurements, read_csv
+from .hom import HomDataset, HomModelParams, fit_purity, simulate_counts
 from .jsa import adaptive_grid, build_jsa, schmidt_decompose, purity_vs_length
 from .material_optics import FiberAxisGeometry, FiberSpec
 from .phasematch import (
@@ -41,7 +40,7 @@ from .phasematch import (
     solve_phasematch,
 )
 
-__all__ = ["main", "load_config", "RunConfig", "emit_figure_data"]
+__all__ = ["main", "load_config", "RunConfig"]
 
 
 def _fmt(value):
@@ -73,8 +72,7 @@ _PUMP_FIELDS = {
 }
 _PUMP_REQUIRED = {"center_wavelength_nm", "gaussian_fwhm_nm"}
 _GRID_KEYS = {"n_signal", "n_idler", "sidelobes"}
-_OUTPUT_KEYS = {"format"}
-_TOP_KEYS = {"fiber", "pump", "grid", "output", "seed"}
+_TOP_KEYS = {"fiber", "pump", "grid", "seed"}
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,6 @@ class RunConfig:
     n_signal: int = 256
     n_idler: int = 256
     sidelobes: int = 32
-    output_format: str = "json"
     seed: int = 0
 
 
@@ -179,10 +176,6 @@ def parse_config(document):
         raise ConfigError(f"pump: {exc}") from None
 
     grid_doc = _section(document, "grid", _GRID_KEYS)
-    output_doc = _section(document, "output", _OUTPUT_KEYS)
-    output_format = output_doc.get("format", "json")
-    if output_format not in ("csv", "json"):
-        raise ConfigError(f"output.format must be csv or json, got {output_format!r}")
 
     return RunConfig(
         fiber=fiber,
@@ -190,7 +183,6 @@ def parse_config(document):
         n_signal=_integer(grid_doc, "n_signal", "grid", 256),
         n_idler=_integer(grid_doc, "n_idler", "grid", 256),
         sidelobes=_integer(grid_doc, "sidelobes", "grid", 32),
-        output_format=output_format,
         seed=_integer(document, "seed", "", 0),
     )
 
@@ -231,83 +223,82 @@ def _apply_overrides(config, args):
     """Fold generic command-line overrides into the config."""
     fiber, pump = config.fiber, config.pump
     with _user_values("command-line override"):
-        if getattr(args, "length_m", None) is not None:
+        if args.length_m is not None:
             fiber = dataclasses.replace(fiber, length=args.length_m)
-        if getattr(args, "pump_nm", None) is not None:
+        if args.pump_nm is not None:
             pump = dataclasses.replace(pump, center_wavelength=args.pump_nm * 1e-9)
     config = dataclasses.replace(config, fiber=fiber, pump=pump)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     return config
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns the text that main writes out
 # ---------------------------------------------------------------------------
 
-
-def _write(out_path, text):
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w") as handle:
-            handle.write(text)
+_HOM_COLUMNS = ("theta_deg", "R_ABCD", "R_AB", "R_CD", "R_AD", "R_BC", "duration_s")
 
 
-def _json_dump(obj):
-    return json.dumps(obj, indent=2) + "\n"
+def _csv(header, rows):
+    """CSV text: numbers through _fmt, strings as they are."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _json(fields):
+    """JSON text of `fields`, every float (also in a list) through _fmt."""
+
+    def rounded(value):
+        if isinstance(value, list):
+            return [rounded(v) for v in value]
+        return float(_fmt(value)) if isinstance(value, float) else value
+
+    return json.dumps({key: rounded(value) for key, value in fields.items()}, indent=2) + "\n"
 
 
 def _cmd_dispersion(config, args):
-    buffer = io.StringIO()
-    buffer.write("wavelength_nm,axis,n_eff,k,dk_domega,d2k_domega2\n")
+    rows = []
     for axis in (Axis.FAST, Axis.SLOW):
         profile = axis_profile(config.fiber, axis)
-        omegas = np.linspace(*profile.span, args.points)
-        for om in omegas:
-            lam_nm = 2e9 * np.pi * C_LIGHT / om
-            buffer.write(
-                ",".join(
-                    [
-                        _fmt(lam_nm),
-                        axis.value,
-                        _fmt(profile.index_at(om)),
-                        _fmt(wavevector(om, profile)),
-                        _fmt(inverse_group_velocity(om, profile)),
-                        _fmt(gvd(om, profile)),
-                    ]
+        for om in np.linspace(*profile.span, args.points):
+            rows.append(
+                (
+                    2e9 * np.pi * C_LIGHT / om,
+                    axis.value,
+                    profile.index_at(om),
+                    wavevector(om, profile),
+                    inverse_group_velocity(om, profile),
+                    gvd(om, profile),
                 )
-                + "\n"
             )
-    _write(args.out, buffer.getvalue())
-    return 0
+    return _csv(("wavelength_nm", "axis", "n_eff", "k", "dk_domega", "d2k_domega2"), rows)
+
+
+def _phasematch_table(config, pump_range, points):
+    """Tuning curve over `pump_range` [m] as CSV in nm."""
+    curve = phasematch_curve(pump_range, points, config.fiber, resolve_peak_power(config.pump))
+    return _csv(
+        ("lambda_p_nm", "lambda_s_nm", "lambda_i_nm"),
+        (
+            (p.pump_wavelength * 1e9, p.signal_wavelength * 1e9, p.idler_wavelength * 1e9)
+            for p in curve
+        ),
+    )
 
 
 def _cmd_phasematch(config, args):
     lam_lo, lam_hi = args.range
-    points = phasematch_curve(
-        (lam_lo * 1e-9, lam_hi * 1e-9),
-        args.points,
-        config.fiber,
-        resolve_peak_power(config.pump),
-    )
-    buffer = io.StringIO()
-    buffer.write("lambda_p_nm,lambda_s_nm,lambda_i_nm\n")
-    for pt in points:
-        buffer.write(
-            f"{_fmt(pt.pump_wavelength * 1e9)},{_fmt(pt.signal_wavelength * 1e9)},"
-            f"{_fmt(pt.idler_wavelength * 1e9)}\n"
-        )
-    _write(args.out, buffer.getvalue())
-    return 0
+    return _phasematch_table(config, (lam_lo * 1e-9, lam_hi * 1e-9), args.points)
 
 
 def _cmd_gvm(config, args):
     lam = gvm_pump_wavelength(config.fiber, peak_power=resolve_peak_power(config.pump))
     # Rounded to 1e-3 nm: the root is refined only to 1e-12 m, so the digits
     # past that move with any change to the root finder.
-    _write(args.out, _json_dump({"lambda_p0_nm": float(_fmt(round(lam * 1e9, 3)))}))
-    return 0
+    return _json({"lambda_p0_nm": round(lam * 1e9, 3)})
 
 
 def _build_jsa_from_config(config, n_signal=None, n_idler=None):
@@ -323,18 +314,14 @@ def _build_jsa_from_config(config, n_signal=None, n_idler=None):
 
 def _cmd_jsa(config, args):
     jsa = _build_jsa_from_config(config)
-    buffer = io.StringIO()
-    buffer.write("omega_s_rad_per_s,omega_i_rad_per_s,real,imag,abs_sq\n")
-    amp = jsa.amplitude
-    for j, os_ in enumerate(jsa.grid.signal_omegas):
-        for k, oi in enumerate(jsa.grid.idler_omegas):
-            f = amp[j, k]
-            buffer.write(
-                f"{_fmt(os_)},{_fmt(oi)},{_fmt(f.real)},{_fmt(f.imag)},"
-                f"{_fmt(abs(f) ** 2)}\n"
-            )
-    _write(args.out, buffer.getvalue())
-    return 0
+    return _csv(
+        ("omega_s_rad_per_s", "omega_i_rad_per_s", "real", "imag", "abs_sq"),
+        (
+            (os_, oi, f.real, f.imag, abs(f) ** 2)
+            for os_, row in zip(jsa.grid.signal_omegas, jsa.amplitude)
+            for oi, f in zip(jsa.grid.idler_omegas, row)
+        ),
+    )
 
 
 def _cmd_purity(config, args):
@@ -345,103 +332,64 @@ def _cmd_purity(config, args):
         )
     )
     drift = abs(refined.purity - base.purity)
-    result = {
-        "purity": float(_fmt(base.purity)),
-        "schmidt_number": float(_fmt(base.schmidt_number)),
-        "entropy": float(_fmt(base.entropy)),
-        "coefficients": [float(_fmt(x)) for x in base.coefficients[:16]],
-        "grid_points": [config.n_signal, config.n_idler],
-        "refined_purity": float(_fmt(refined.purity)),
-        "grid_converged": bool(drift < 1e-3),
-        # Rounded to the 1e-12 resolution of the printed purities, so the
-        # last-bit SVD rounding of either purity does not show.
-        "purity_drift": float(_fmt(round(drift, 12))),
-    }
-    _write(args.out, _json_dump(result))
-    return 0
+    return _json(
+        {
+            "purity": base.purity,
+            "schmidt_number": base.schmidt_number,
+            "entropy": base.entropy,
+            "coefficients": list(base.coefficients[:16]),
+            "grid_points": [config.n_signal, config.n_idler],
+            "refined_purity": refined.purity,
+            "grid_converged": bool(drift < 1e-3),
+            # Rounded to the 1e-12 resolution of the printed purities, so the
+            # last-bit SVD rounding of either purity does not show.
+            "purity_drift": round(drift, 12),
+        }
+    )
+
+
+def _purity_scan_table(config, lengths):
+    results = purity_vs_length(
+        config.pump,
+        config.fiber,
+        lengths,
+        n_points=config.n_signal,
+        sidelobes=config.sidelobes,
+    )
+    return _csv(("length_m", "purity"), results)
 
 
 def _cmd_purity_scan(config, args):
     with _user_values("--lengths"):
         for length in args.lengths:
             dataclasses.replace(config.fiber, length=length)
-    results = purity_vs_length(
-        config.pump,
-        config.fiber,
-        args.lengths,
-        n_points=config.n_signal,
-        sidelobes=config.sidelobes,
-    )
-    buffer = io.StringIO()
-    buffer.write("length_m,purity\n")
-    for length, purity in results:
-        buffer.write(f"{_fmt(length)},{_fmt(purity)}\n")
-    _write(args.out, buffer.getvalue())
-    return 0
-
-
-def _load_hom_csv(path, repetition_rate):
-    import csv as csv_mod
-
-    from .hom import HomDataset
-
-    header = ["theta_deg", "R_ABCD", "R_AB", "R_CD", "R_AD", "R_BC", "duration_s"]
-    columns = {name: [] for name in header}
-    with open(path, newline="") as handle:
-        reader = csv_mod.reader(handle)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty file") from None
-        if [h.strip() for h in first] != header:
-            raise ConfigError(
-                f"{path}:1: expected header {','.join(header)}, got {','.join(first)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ConfigError(
-                    f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
-                )
-            for name, cell in zip(header, row):
-                try:
-                    columns[name].append(float(cell))
-                except ValueError:
-                    raise ConfigError(
-                        f"{path}:{lineno}: cannot parse {name} value {cell!r}"
-                    ) from None
-    if not columns["theta_deg"]:
-        raise ConfigError(f"{path}: no data rows")
-    with _user_values(path):
-        return HomDataset(
-            theta=np.deg2rad(columns["theta_deg"]),
-            four_fold=np.asarray(columns["R_ABCD"]),
-            two_fold_ab=np.asarray(columns["R_AB"]),
-            two_fold_cd=np.asarray(columns["R_CD"]),
-            two_fold_ad=np.asarray(columns["R_AD"]),
-            two_fold_bc=np.asarray(columns["R_BC"]),
-            duration=np.asarray(columns["duration_s"]),
-            repetition_rate=repetition_rate,
-        )
+    return _purity_scan_table(config, args.lengths)
 
 
 def _cmd_hom_fit(config, args):
-    data = _load_hom_csv(args.data, args.rep_rate)
+    rows = [values for _, values in read_csv(args.data, _HOM_COLUMNS)]
+    theta, four_fold, ab, cd, ad, bc, duration = np.array(rows).T
+    with _user_values(args.data):
+        data = HomDataset(
+            theta=np.deg2rad(theta),
+            four_fold=four_fold,
+            two_fold_ab=ab,
+            two_fold_cd=cd,
+            two_fold_ad=ad,
+            two_fold_bc=bc,
+            duration=duration,
+            repetition_rate=args.rep_rate,
+        )
     result = fit_purity(data)
-    _write(
-        args.out,
-        _json_dump(
-            {
-                "p": float(_fmt(result.p)),
-                "sigma_p": float(_fmt(result.sigma_p)),
-                "chi": float(_fmt(result.chi)),
-                "sigma_chi": float(_fmt(result.sigma_chi)),
-                "chi2_reduced": float(_fmt(result.chi2_reduced)),
-            }
-        ),
+    return _json(
+        {
+            "p": result.p,
+            "sigma_p": result.sigma_p,
+            "chi": result.chi,
+            "sigma_chi": result.sigma_chi,
+            "chi2_reduced": result.chi2_reduced,
+        }
     )
-    return 0
 
 
 def _cmd_hom_sim(config, args):
@@ -456,26 +404,16 @@ def _cmd_hom_sim(config, args):
             seed=config.seed,
             noiseless=args.noiseless,
         )
-    buffer = io.StringIO()
-    buffer.write("theta_deg,R_ABCD,R_AB,R_CD,R_AD,R_BC,duration_s\n")
-    for i in range(len(data)):
-        buffer.write(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    np.rad2deg(data.theta[i]),
-                    data.four_fold[i],
-                    data.two_fold_ab[i],
-                    data.two_fold_cd[i],
-                    data.two_fold_ad[i],
-                    data.two_fold_bc[i],
-                    data.duration[i],
-                )
-            )
-            + "\n"
-        )
-    _write(args.out, buffer.getvalue())
-    return 0
+    columns = (
+        np.rad2deg(data.theta),
+        data.four_fold,
+        data.two_fold_ab,
+        data.two_fold_cd,
+        data.two_fold_ad,
+        data.two_fold_bc,
+        data.duration,
+    )
+    return _csv(_HOM_COLUMNS, zip(*columns))
 
 
 def _cmd_fit_fiber(config, args):
@@ -487,79 +425,42 @@ def _cmd_fit_fiber(config, args):
         birefringence=0.0 if dn is None else dn,
         peak_power=resolve_peak_power(config.pump),
     )
-    _write(
-        args.out,
-        _json_dump(
-            {
-                "axis": args.axis,
-                "core_diameter_um": float(_fmt(result.geometry.core_diameter * 1e6)),
-                "air_filling_fraction": float(
-                    _fmt(result.geometry.air_filling_fraction)
-                ),
-                "core_diameter_sigma_um": float(_fmt(result.core_diameter_sigma * 1e6)),
-                "air_filling_fraction_sigma": float(_fmt(result.filling_fraction_sigma)),
-                "residual_rms": float(_fmt(result.residual_rms)),
-                "n_penalized": result.n_penalized,
-            }
-        ),
+    return _json(
+        {
+            "axis": args.axis,
+            "core_diameter_um": result.geometry.core_diameter * 1e6,
+            "air_filling_fraction": result.geometry.air_filling_fraction,
+            "core_diameter_sigma_um": result.core_diameter_sigma * 1e6,
+            "air_filling_fraction_sigma": result.filling_fraction_sigma,
+            "residual_rms": result.residual_rms,
+            "n_penalized": result.n_penalized,
+        }
     )
-    return 0
-
-
-def emit_figure_data(figure_id, config, out_path=None):
-    """Write the data behind one figure as CSV; returns the CSV text."""
-    buffer = io.StringIO()
-    if figure_id == "fig1a":
-        # Full Ti:Sapphire pump tuning range; correlation column classifies
-        # each point by the signs of the local sideband slopes: equal signs
-        # mean frequency-correlated pairs, opposite signs anticorrelated.
-        points = phasematch_curve(
-            (700e-9, 1000e-9), 301, config.fiber, resolve_peak_power(config.pump)
-        )
-        buffer.write("lambda_p_nm,lambda_s_nm,lambda_i_nm,correlation\n")
-        lam_p = np.array([p.pump_wavelength for p in points])
-        lam_s = np.array([p.signal_wavelength for p in points])
-        lam_i = np.array([p.idler_wavelength for p in points])
-        slope_s = np.gradient(lam_s, lam_p)
-        slope_i = np.gradient(lam_i, lam_p)
-        for k in range(len(points)):
-            product = slope_s[k] * slope_i[k]
-            label = "correlated" if product > 0 else "anticorrelated"
-            buffer.write(
-                f"{_fmt(lam_p[k] * 1e9)},{_fmt(lam_s[k] * 1e9)},"
-                f"{_fmt(lam_i[k] * 1e9)},{label}\n"
-            )
-    elif figure_id == "fig1b":
-        points = phasematch_curve(
-            (765e-9, 795e-9), 31, config.fiber, resolve_peak_power(config.pump)
-        )
-        buffer.write("lambda_p_nm,lambda_s_nm,lambda_i_nm\n")
-        for pt in points:
-            buffer.write(
-                f"{_fmt(pt.pump_wavelength * 1e9)},{_fmt(pt.signal_wavelength * 1e9)},"
-                f"{_fmt(pt.idler_wavelength * 1e9)}\n"
-            )
-    elif figure_id == "purity_vs_L":
-        results = purity_vs_length(
-            config.pump,
-            config.fiber,
-            [0.4, 1.0, 10.0, 100.0],
-            n_points=config.n_signal,
-            sidelobes=config.sidelobes,
-        )
-        buffer.write("length_m,purity\n")
-        for length, purity in results:
-            buffer.write(f"{_fmt(length)},{_fmt(purity)}\n")
-    else:
-        raise ConfigError(f"unknown figure id {figure_id!r}")
-    text = buffer.getvalue()
-    _write(out_path, text)
-    return text
 
 
 def _cmd_figure(config, args):
-    emit_figure_data(args.id, config, args.out)
-    return 0
+    """The data behind one figure as CSV."""
+    if args.id == "fig1b":
+        return _phasematch_table(config, (765e-9, 795e-9), 31)
+    if args.id == "purity_vs_L":
+        return _purity_scan_table(config, [0.4, 1.0, 10.0, 100.0])
+    # fig1a: the full Ti:Sapphire pump tuning range; the correlation column
+    # classifies each point by the signs of the local sideband slopes: equal
+    # signs mean frequency-correlated pairs, opposite signs anticorrelated.
+    points = phasematch_curve(
+        (700e-9, 1000e-9), 301, config.fiber, resolve_peak_power(config.pump)
+    )
+    lam_p = np.array([p.pump_wavelength for p in points])
+    lam_s = np.array([p.signal_wavelength for p in points])
+    lam_i = np.array([p.idler_wavelength for p in points])
+    product = np.gradient(lam_s, lam_p) * np.gradient(lam_i, lam_p)
+    return _csv(
+        ("lambda_p_nm", "lambda_s_nm", "lambda_i_nm", "correlation"),
+        (
+            (p * 1e9, s * 1e9, i * 1e9, "correlated" if c > 0 else "anticorrelated")
+            for p, s, i, c in zip(lam_p, lam_s, lam_i, product)
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -636,15 +537,18 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        config = _apply_overrides(config, args)
-        return args.func(config, args)
+        text = args.func(_apply_overrides(load_config(args.config), args), args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w") as handle:
+                handle.write(text)
     except (SfwmkitError, OSError) as exc:  # user errors -> exit 1; bugs raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

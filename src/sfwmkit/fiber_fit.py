@@ -35,6 +35,7 @@ from .phasematch import solve_phasematch
 __all__ = [
     "PhasematchMeasurement",
     "GeometryFitResult",
+    "read_csv",
     "load_measurements",
     "fit_geometry",
 ]
@@ -90,56 +91,67 @@ class GeometryFitResult:
     cost: float
 
 
-def load_measurements(path):
-    """Read phasematch measurements from CSV.
+def read_csv(path, header, optional=()):
+    """Yield (line number, values) for each data row of a numeric CSV file.
 
-    Expected header: lambda_p_nm,lambda_s_nm,lambda_i_nm,sigma_nm.  Sideband
-    cells may be empty (but not both).  Errors carry the 1-based line number.
+    The first line must be `header`; blank lines are skipped.  Every cell
+    must be a finite number, except that a cell of a column named in
+    `optional` may be empty, which gives None.  Errors carry the 1-based
+    line number.
     """
-    rows = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != _CSV_HEADER:
+        first = next(reader, None)
+        if first is None:
+            raise ConfigError(f"{path}: empty file")
+        if [h.strip() for h in first] != list(header):
             raise ConfigError(
-                f"{path}:1: expected header {','.join(_CSV_HEADER)}, "
-                f"got {','.join(header)}"
+                f"{path}:1: expected header {','.join(header)}, got {','.join(first)}"
             )
+        rows = 0
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not any(cell.strip() for cell in row):
                 continue
-            if len(row) != 4:
-                raise ConfigError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-
-            def parse(cell, name, optional=False):
+            if len(row) != len(header):
+                raise ConfigError(
+                    f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}"
+                )
+            values = []
+            for name, cell in zip(header, row):
                 cell = cell.strip()
-                if not cell:
-                    if optional:
-                        return None
-                    raise ConfigError(f"{path}:{lineno}: missing {name}")
+                if not cell and name in optional:
+                    values.append(None)
+                    continue
                 try:
-                    return float(cell) * 1e-9
+                    value = float(cell)
                 except ValueError:
                     raise ConfigError(
                         f"{path}:{lineno}: cannot parse {name} value {cell!r}"
                     ) from None
-
-            try:
-                rows.append(
-                    PhasematchMeasurement(
-                        pump_wavelength=parse(row[0], "lambda_p_nm"),
-                        signal_wavelength=parse(row[1], "lambda_s_nm", optional=True),
-                        idler_wavelength=parse(row[2], "lambda_i_nm", optional=True),
-                        sigma=parse(row[3], "sigma_nm"),
+                if not np.isfinite(value):
+                    raise ConfigError(
+                        f"{path}:{lineno}: {name} must be a finite number, got {cell!r}"
                     )
-                )
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+                values.append(value)
+            rows += 1
+            yield lineno, values
     if not rows:
-        raise ConfigError(f"{path}: no measurement rows")
+        raise ConfigError(f"{path}: no data rows")
+
+
+def load_measurements(path):
+    """Read phasematch measurements from CSV (see `read_csv`).
+
+    Expected header: lambda_p_nm,lambda_s_nm,lambda_i_nm,sigma_nm.  Sideband
+    cells may be empty (but not both).
+    """
+    rows = []
+    for lineno, values in read_csv(path, _CSV_HEADER, optional=("lambda_s_nm", "lambda_i_nm")):
+        pump, signal, idler, sigma = (None if v is None else v * 1e-9 for v in values)
+        try:
+            rows.append(PhasematchMeasurement(pump, signal, idler, sigma))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return rows
 
 

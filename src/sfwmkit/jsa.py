@@ -42,6 +42,9 @@ __all__ = [
     "purity_vs_length",
 ]
 
+# Pumps sampled across the pump support to trace the phasematch ridge.
+_RIDGE_SAMPLES = 9
+
 
 @dataclass(frozen=True, eq=False)
 class SpectralGrid:
@@ -183,10 +186,8 @@ def pump_function(omega_sum, pump: PumpSpec):
     return float(value) if np.ndim(omega_sum) == 0 else value
 
 
-def phasematch_function(
-    omega_s, omega_i, fiber: FiberSpec, peak_power=0.0, include_phase=True
-):
-    """sinc(dk L / 2), optionally with the exp(i dk L / 2) propagation phase."""
+def phasematch_function(omega_s, omega_i, fiber: FiberSpec, peak_power=0.0):
+    """sinc(dk L / 2) exp(i dk L / 2): the phasematch factor with its propagation phase."""
     profile = axis_profile(fiber, Axis.FAST)
     omega_p = 0.5 * (np.asarray(omega_s, dtype=float) + np.asarray(omega_i, dtype=float))
     dn = birefringence(2.0 * np.pi * C_LIGHT / float(np.mean(omega_p)), fiber)
@@ -199,17 +200,14 @@ def phasematch_function(
         profile=profile,
         birefringence_value=dn,
     )
-    value = np.sinc(arg / np.pi)
-    if include_phase:
-        value = value * np.exp(1j * arg)
-    return value
+    return np.sinc(arg / np.pi) * np.exp(1j * arg)
 
 
 @functools.lru_cache(maxsize=32)
-def _ridge(pump: PumpSpec, fiber: FiberSpec, peak_power, ridge_samples):
+def _ridge(pump: PumpSpec, fiber: FiberSpec, peak_power):
     """Phasematch ridge across the pump band, which does not depend on the length.
 
-    Solves `ridge_samples` pumps spanning the pump support in one
+    Solves `_RIDGE_SAMPLES` pumps spanning the pump support in one
     `solve_phasematch` call; returns read-only arrays (omega_s, omega_i,
     slope_s, slope_i) of the phasematched pairs and their dk slopes
     d(dk)/d(omega) at fixed pump.  Memoized, so the purity gate's grids at
@@ -219,7 +217,7 @@ def _ridge(pump: PumpSpec, fiber: FiberSpec, peak_power, ridge_samples):
     profile = axis_profile(fiber, Axis.FAST)
     dn = birefringence(pump.center_wavelength, fiber)
     e_lo, e_hi = _pump_field_support(pump)
-    omega_p = np.linspace(e_lo, e_hi, ridge_samples)
+    omega_p = np.linspace(e_lo, e_hi, _RIDGE_SAMPLES)
     points = solve_phasematch(2.0 * np.pi * C_LIGHT / omega_p, fiber, peak_power)
     found = [k for k, point in enumerate(points) if point is not None]
     if not found:
@@ -244,7 +242,6 @@ def adaptive_grid(
     n_idler=256,
     peak_power=None,
     sidelobes=32,
-    ridge_samples=9,
 ):
     """Spectral grid that tracks the phasematch ridge across the pump band.
 
@@ -259,7 +256,7 @@ def adaptive_grid(
     if peak_power is None:
         peak_power = resolve_peak_power(pump)
     omega_s, omega_i, slope_s, slope_i = _ridge(
-        pump, dataclasses.replace(fiber, length=1.0), peak_power, ridge_samples
+        pump, dataclasses.replace(fiber, length=1.0), peak_power
     )
     lobe = 2.0 * np.pi * sidelobes / fiber.length
     reach_s = lobe / np.maximum(np.abs(slope_s), 1e-18)
@@ -292,7 +289,6 @@ def build_jsa(
     fiber: FiberSpec,
     grid: SpectralGrid | None = None,
     peak_power=None,
-    include_phase=True,
 ):
     """Normalized joint spectral amplitude on the given (or adaptive) grid."""
     if peak_power is None:
@@ -308,9 +304,7 @@ def build_jsa(
         raise GridError(
             "grid misplaced: the pump function vanishes everywhere on the grid"
         )
-    amplitude = envelope * phasematch_function(
-        omega_s, omega_i, fiber, peak_power, include_phase
-    )
+    amplitude = envelope * phasematch_function(omega_s, omega_i, fiber, peak_power)
     norm_sq = np.sum(np.abs(amplitude) ** 2) * grid.signal_spacing * grid.idler_spacing
     if norm_sq == 0.0:
         raise GridError("grid misplaced: the joint amplitude vanishes on the grid")

@@ -39,7 +39,6 @@ def config_path(tmp_path):
             "filter_width_nm": 8.0,
         },
         "grid": {"n_signal": 128, "n_idler": 128},
-        "output": {"format": "json"},
         "seed": 0,
     }
     path = tmp_path / "config.json"
@@ -85,27 +84,6 @@ class TestConfigParsing:
     def test_missing_section(self):
         with pytest.raises(ConfigError, match="pump"):
             cli.parse_config({"fiber": {}})
-
-    def test_bad_output_format(self):
-        with pytest.raises(ConfigError, match="format"):
-            cli.parse_config(
-                {
-                    "fiber": {
-                        "fast_axis": {
-                            "core_diameter_um": 1.75,
-                            "air_filling_fraction": 0.5,
-                        },
-                        "slow_axis": {
-                            "core_diameter_um": 1.75,
-                            "air_filling_fraction": 0.5,
-                        },
-                        "gamma_per_w_km": 99.0,
-                        "length_m": 0.4,
-                    },
-                    "pump": {"center_wavelength_nm": 783, "gaussian_fwhm_nm": 20},
-                    "output": {"format": "yaml"},
-                }
-            )
 
 
 def _paper_document():
@@ -187,9 +165,17 @@ class TestExitCodes:
             (["purity-scan", "--lengths", "1", "0"], "--lengths: length"),
             (["hom-sim", "--p", "1.5"], "p must be in"),
             (["gvm", "--out", "{tmp}/no-such-dir/x.json"], "no-such-dir"),
+            (
+                ["hom-fit", "--data", "{tmp}/nan.csv", "--rep-rate", "76e6"],
+                "nan.csv:3: R_AB must be a finite number, got 'nan'",
+            ),
         ],
     )
     def test_user_errors_exit_one(self, config_path, tmp_path, capsys, argv, message):
+        (tmp_path / "nan.csv").write_text(
+            "theta_deg,R_ABCD,R_AB,R_CD,R_AD,R_BC,duration_s\n"
+            "0,10,1e6,1e6,1e6,1e6,60\n45,12,nan,1e6,1e6,1e6,60\n"
+        )
         argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--config", config_path]
         code, _, err = _run(argv, capsys)
         assert code == 1
@@ -329,7 +315,12 @@ class TestDeterminism:
         digits = value.replace(".", "").replace("-", "").lstrip("0")
         assert len(digits) <= 12
 
-    def test_purity_identical_across_blas_threads(self):
+    @pytest.mark.parametrize(
+        "command",
+        [["purity"], ["purity-scan", "--lengths", "0.4", "1.0"]],
+        ids=["purity", "purity-scan"],
+    )
+    def test_purity_identical_across_blas_threads(self, command):
         # The purity drift is a difference of two ~0.887 purities; it is
         # printed only to their 1e-12 resolution, so the last-bit rounding
         # of a threaded SVD does not show.
@@ -338,8 +329,28 @@ class TestDeterminism:
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            argv = [sys.executable, "-m", "sfwmkit.cli", "purity", "--config", "paper40cm.json"]
+            argv = [sys.executable, "-m", "sfwmkit.cli", *command, "--config", "paper40cm.json"]
             run = subprocess.run(argv, env=env, capture_output=True, check=True)
             outputs.append(run.stdout)
         assert outputs[0] == outputs[1]
-        assert json.loads(outputs[0])["purity_drift"] > 0
+        if command == ["purity"]:
+            assert json.loads(outputs[0])["purity_drift"] > 0
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["dispersion", "--points", "5"],
+            ["phasematch", "--points", "5"],
+            ["gvm"],
+            ["hom-sim", "--p", "0.86", "--chi", "0.07"],
+            ["figure", "--id", "fig1b"],
+            ["purity-scan", "--lengths", "0.4"],
+        ],
+    )
+    def test_out_file_holds_the_stdout_bytes(self, config_path, tmp_path, capsys, command):
+        _, printed, _ = _run([*command, "--config", config_path], capsys)
+        out = tmp_path / "out.txt"
+        code, rest, _ = _run([*command, "--config", config_path, "--out", str(out)], capsys)
+        assert code == 0
+        assert rest == ""
+        assert out.read_bytes() == printed.encode()

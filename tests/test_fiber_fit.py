@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -71,6 +73,31 @@ class TestLoadMeasurements:
         path.write_text("")
         with pytest.raises(ConfigError):
             ff.load_measurements(path)
+
+    @pytest.mark.parametrize(
+        "row, column, cell",
+        [
+            ("785.0,nan,853.2,0.1", "lambda_s_nm", "nan"),
+            ("785.0,726.9,inf,0.1", "lambda_i_nm", "inf"),
+            ("-inf,726.9,853.2,0.1", "lambda_p_nm", "-inf"),
+            ("785.0,726.9,853.2,NaN", "sigma_nm", "NaN"),
+        ],
+    )
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, row, column, cell):
+        path = tmp_path / "meas.csv"
+        path.write_text(f"lambda_p_nm,lambda_s_nm,lambda_i_nm,sigma_nm\n785.0,726.9,853.2,0.1\n{row}\n")
+        message = f"{path}:3: {column} must be a finite number, got '{cell}'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ff.load_measurements(path)
+
+    def test_non_finite_cell_in_hom_counts(self, tmp_path):
+        # The header hom-sim writes and hom-fit reads.
+        header = ("theta_deg", "R_ABCD", "R_AB", "R_CD", "R_AD", "R_BC", "duration_s")
+        path = tmp_path / "hom.csv"
+        path.write_text(",".join(header) + "\n0,10,1e6,1e6,1e6,1e6,60\n\n45,12,nan,1e6,1e6,1e6,60\n")
+        message = f"{path}:4: R_AB must be a finite number, got 'nan'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            list(ff.read_csv(path, header))
 
 
 class TestFitGeometry:
