@@ -8,7 +8,7 @@ import numpy as np
 
 from sfwmkit import (
     Axis,
-    DispersionProfile,
+    axis_profile,
     gvd,
     inverse_group_velocity,
     wavevector,
@@ -26,7 +26,7 @@ fiber = FiberSpec(
     length=0.4,
 )
 
-profile = DispersionProfile.from_fiber(fiber, Axis.FAST)
+profile = axis_profile(fiber, Axis.FAST)
 roots = zero_gvd_wavelengths(profile, (560e-9, 1000e-9))
 print(f"fast-axis zero-GVD wavelength: {roots[0] * 1e9:.3f} nm")
 print(f"geometric birefringence at 785 nm: {birefringence(785e-9, fiber):.3e}")

@@ -26,7 +26,7 @@ fiber = FiberSpec(
 )
 pump = PumpSpec(center_wavelength=783e-9, gaussian_fwhm=20e-9, filter_width=8e-9)
 
-jsa = build_jsa(pump, fiber)
+jsa = build_jsa(pump, fiber, grid=adaptive_grid(pump, fiber))
 result = schmidt_decompose(jsa)
 print(f"40 cm fiber: purity {result.purity:.4f}, Schmidt number {result.schmidt_number:.3f}")
 print("leading Schmidt coefficients:", " ".join(f"{c:.4f}" for c in result.coefficients[:6]))

@@ -1,10 +1,8 @@
 """sfwmkit: design and analysis of SFWM photon-pair sources in birefringent PCF."""
 
 from .material_optics import (
-    FUSED_SILICA,
     FiberAxisGeometry,
     FiberSpec,
-    SellmeierModel,
     cladding_index,
     lp01_effective_index,
     silica_index,

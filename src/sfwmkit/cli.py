@@ -115,13 +115,16 @@ def _number(mapping, key, path, required=True):
     raise ConfigError(f"{_key_path(path, key)} must be a finite number, got {value!r}")
 
 
-def _integer(mapping, key, path, default):
-    """mapping.get(key, default) as an int; fractional values are rejected."""
+def _integer(mapping, key, path, default, minimum=None):
+    """mapping.get(key, default) as an int; fractional values and values below
+    `minimum` are rejected."""
     value = mapping.get(key, default)
     if isinstance(value, bool) or not (
         isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     ):
         raise ConfigError(f"{_key_path(path, key)} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{_key_path(path, key)} must be >= {minimum}, got {value!r}")
     return int(value)
 
 
@@ -180,9 +183,10 @@ def parse_config(document):
     return RunConfig(
         fiber=fiber,
         pump=pump,
-        n_signal=_integer(grid_doc, "n_signal", "grid", 256),
-        n_idler=_integer(grid_doc, "n_idler", "grid", 256),
-        sidelobes=_integer(grid_doc, "sidelobes", "grid", 32),
+        # A spectral grid axis needs at least 64 samples.
+        n_signal=_integer(grid_doc, "n_signal", "grid", 256, minimum=64),
+        n_idler=_integer(grid_doc, "n_idler", "grid", 256, minimum=64),
+        sidelobes=_integer(grid_doc, "sidelobes", "grid", 32, minimum=1),
         seed=_integer(document, "seed", "", 0),
     )
 
@@ -291,6 +295,10 @@ def _phasematch_table(config, pump_range, points):
 
 def _cmd_phasematch(config, args):
     lam_lo, lam_hi = args.range
+    if not all(math.isfinite(lam) and lam > 0 for lam in args.range):
+        raise ConfigError(
+            f"--range: pump wavelengths must be finite and > 0 nm, got {lam_lo:g} {lam_hi:g}"
+        )
     return _phasematch_table(config, (lam_lo * 1e-9, lam_hi * 1e-9), args.points)
 
 

@@ -46,9 +46,8 @@ class Axis(str, enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class DispersionProfile:
-    """n_eff(omega) samples for one axis plus a piecewise polynomial of k(omega)."""
+    """n_eff(omega) samples of one fiber axis plus a piecewise polynomial of k(omega)."""
 
-    axis: Axis
     omegas: np.ndarray  # strictly increasing angular frequencies [rad/s]
     n_eff: np.ndarray
     _spline: object = field(default=None, repr=False)
@@ -67,25 +66,15 @@ class DispersionProfile:
             object.__setattr__(self, "_spline", PPoly.from_spline(spline))
 
     @classmethod
-    def from_geometry(
-        cls,
-        geometry,
-        axis=Axis.FAST,
-        wavelength_band=DEFAULT_WAVELENGTH_BAND,
-        n_points=DEFAULT_GRID_POINTS,
-    ):
-        """Sample the HE11/space-filling-mode solver over the band as a profile."""
-        lam_lo, lam_hi = wavelength_band
+    def from_geometry(cls, geometry, n_points=DEFAULT_GRID_POINTS):
+        """Sample the HE11/space-filling-mode solver over DEFAULT_WAVELENGTH_BAND."""
+        lam_lo, lam_hi = DEFAULT_WAVELENGTH_BAND
         omegas = np.linspace(
             2 * np.pi * C_LIGHT / lam_hi, 2 * np.pi * C_LIGHT / lam_lo, n_points
         )
         wavelengths = 2 * np.pi * C_LIGHT / omegas
         n_eff = he11_effective_index_grid(wavelengths, geometry)
-        return cls(axis=Axis(axis), omegas=omegas, n_eff=n_eff)
-
-    @classmethod
-    def from_fiber(cls, fiber: FiberSpec, axis=Axis.FAST, **kwargs):
-        return cls.from_geometry(fiber.axis_geometry(axis), axis=axis, **kwargs)
+        return cls(omegas=omegas, n_eff=n_eff)
 
     @property
     def span(self):
@@ -170,24 +159,15 @@ def birefringence(wavelength, fiber: FiberSpec):
 
 
 @functools.lru_cache(maxsize=32)
-def _cached_profile(geometry, axis, wavelength_band, n_points):
-    return DispersionProfile.from_geometry(
-        geometry, axis=axis, wavelength_band=wavelength_band, n_points=n_points
-    )
+def _cached_profile(geometry):
+    return DispersionProfile.from_geometry(geometry)
 
 
-def axis_profile(
-    fiber: FiberSpec,
-    axis=Axis.FAST,
-    wavelength_band=DEFAULT_WAVELENGTH_BAND,
-    n_points=DEFAULT_GRID_POINTS,
-):
+def axis_profile(fiber: FiberSpec, axis=Axis.FAST):
     """Memoized dispersion profile for one axis of a fiber.
 
     Profiles are expensive to build (a mode solve per grid point), and all
     downstream routines key off the same handful of geometries, so results
-    are cached on the (hashable) geometry and grid parameters.
+    are cached on the (hashable) axis geometry.
     """
-    return _cached_profile(
-        fiber.axis_geometry(axis), Axis(axis), tuple(wavelength_band), n_points
-    )
+    return _cached_profile(fiber.axis_geometry(axis))

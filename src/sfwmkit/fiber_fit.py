@@ -22,7 +22,7 @@ from scipy.interpolate import make_interp_spline
 from scipy.optimize import least_squares
 
 from .constants import C_LIGHT
-from .dispersion import _SPLINE_ORDER, Axis, DispersionProfile, inverse_group_velocity
+from .dispersion import _SPLINE_ORDER, DispersionProfile, inverse_group_velocity
 from .errors import ConfigError, DomainError, FitError
 from .material_optics import (
     FiberAxisGeometry,
@@ -170,7 +170,7 @@ class _Model:
         pumps = np.array([m.pump_wavelength for m in measurements])
         try:
             self.profile = DispersionProfile.from_geometry(
-                self.geometry, axis=Axis.FAST, n_points=_FIT_PROFILE_POINTS
+                self.geometry, n_points=_FIT_PROFILE_POINTS
             )
             fiber = FiberSpec(
                 fast_axis=self.geometry,

@@ -34,7 +34,6 @@ __all__ = [
     "HomDataset",
     "HomFitResult",
     "heralded_density_matrix",
-    "density_matrix_purity",
     "overlap_p",
     "four_fold_probability",
     "normalize_dataset",
@@ -59,8 +58,8 @@ class HomModelParams:
 class HomDataset:
     """Raw four-detector counting data, one row per analyzer angle.
 
-    theta in radians; counts are raw (not rates); duration per row in
-    seconds; repetition_rate in Hz.
+    theta in radians; counts are raw (not rates) and >= 0; duration per row
+    in seconds and > 0; repetition_rate in Hz and > 0; every value finite.
     """
 
     theta: np.ndarray
@@ -73,9 +72,7 @@ class HomDataset:
     repetition_rate: float  # [Hz]
 
     def __post_init__(self):
-        arrays = {}
-        n = None
-        for name in (
+        columns = (
             "theta",
             "four_fold",
             "two_fold_ab",
@@ -83,17 +80,23 @@ class HomDataset:
             "two_fold_ad",
             "two_fold_bc",
             "duration",
-        ):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if n is None:
-                n = len(arr)
-            elif len(arr) != n:
-                raise ValueError("all dataset columns must have equal length")
-            arrays[name] = arr
-        if self.repetition_rate <= 0:
-            raise ValueError("repetition_rate must be positive")
-        for name, arr in arrays.items():
+        )
+        arrays = [np.asarray(getattr(self, name), dtype=float) for name in columns]
+        if len({len(arr) for arr in arrays}) != 1:
+            raise ValueError("all dataset columns must have equal length")
+        for name, arr in zip(columns, arrays):
+            if name == "theta":
+                rule, ok = "finite", np.isfinite(arr)
+            elif name == "duration":
+                rule, ok = "finite and > 0", np.isfinite(arr) & (arr > 0)
+            else:
+                rule, ok = "finite and >= 0", np.isfinite(arr) & (arr >= 0)
+            if not np.all(ok):
+                raise ValueError(f"{name} must be {rule}, got {float(arr[~ok][0])!r}")
             object.__setattr__(self, name, arr)
+        rate = self.repetition_rate
+        if not (np.isfinite(rate) and rate > 0):
+            raise ValueError(f"repetition_rate must be finite and > 0, got {rate!r}")
 
     def __len__(self):
         return len(self.theta)
@@ -122,15 +125,11 @@ def heralded_density_matrix(jsa: JointSpectralAmplitude):
     return rho / trace
 
 
-def density_matrix_purity(rho, idler_spacing):
-    """Tr[rho^2] under the grid measure; equals the Schmidt purity."""
-    return float(np.real(np.sum(rho * rho.T)) * idler_spacing**2)
-
-
 def overlap_p(jsa_h: JointSpectralAmplitude, jsa_v: JointSpectralAmplitude):
     """Heralded-state overlap p = Tr[rho_H rho_V] of two sources.
 
-    Both amplitudes must be sampled on the same idler axis.
+    Both amplitudes must be sampled on the same idler axis.  overlap_p(jsa, jsa)
+    is Tr[rho^2], the Schmidt purity of jsa.
     """
     gh, gv = jsa_h.grid, jsa_v.grid
     if len(gh.idler_omegas) != len(gv.idler_omegas) or not np.allclose(
@@ -157,6 +156,14 @@ def _accidental_denominator(data: HomDataset):
     return data.two_fold_ab * data.two_fold_cd + data.two_fold_ad * data.two_fold_bc
 
 
+def _scale(data: HomDataset, kept, chi):
+    """P4 / N4 of the kept rows at offset chi: the normalization of the counts."""
+    denom = _accidental_denominator(data)[kept]
+    rd = data.repetition_rate * data.duration[kept]
+    cc = np.cos(2.0 * chi) ** 2 * np.cos(2.0 * data.theta[kept]) ** 2
+    return (1.0 + cc) * rd / (2.0 * denom)
+
+
 def normalize_dataset(data: HomDataset, chi=0.0):
     """Normalized four-fold probabilities and first-order Poisson sigmas.
 
@@ -178,9 +185,7 @@ def normalize_dataset(data: HomDataset, chi=0.0):
     nab, ncd = data.two_fold_ab[kept], data.two_fold_cd[kept]
     nad, nbc = data.two_fold_ad[kept], data.two_fold_bc[kept]
     d = denom[kept]
-    rd = data.repetition_rate * data.duration[kept]
-    cc = np.cos(2.0 * chi) ** 2 * np.cos(2.0 * theta) ** 2
-    scale = (1.0 + cc) * rd / (2.0 * d)
+    scale = _scale(data, kept, chi)
     p4 = n4 * scale
     # Poisson error propagation at first order: var(N) = N for every counter.
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -192,29 +197,19 @@ def normalize_dataset(data: HomDataset, chi=0.0):
     return theta, p4, np.sqrt(var), kept
 
 
-def _model_variance_for_empty_rows(data, kept, chi, params):
-    """Variance of P4 for zero-four-fold rows from the model-predicted mean."""
-    denom = _accidental_denominator(data)[kept]
-    rd = data.repetition_rate * data.duration[kept]
-    theta = data.theta[kept]
-    cc = np.cos(2.0 * chi) ** 2 * np.cos(2.0 * theta) ** 2
-    scale = (1.0 + cc) * rd / (2.0 * denom)
-    mean_n4 = four_fold_probability(theta, params) / scale
-    return scale**2 * mean_n4
-
-
-def fit_purity(data: HomDataset, initial=HomModelParams(p=0.8, chi=0.0), max_outer=100):
+def fit_purity(data: HomDataset, max_outer=100):
     """Fit (p, chi) to a HOM dataset, alternating normalization and fitting.
 
-    Starts from chi = initial.chi, normalizes the data at that chi, runs a
+    Starts from (p, chi) = (0.8, 0), normalizes the data at that chi, runs a
     weighted least-squares fit of P4(theta; p, chi), and repeats with the
     fitted chi until it moves by less than 1e-8 rad (at most `max_outer`
-    rounds).  Uncertainties are absolute, from the inverse Gauss-Newton
-    Hessian of the weighted residuals.  p is clipped to [0, 1];
-    p_at_boundary flags a clipped fit.
+    rounds).  The sigma of a row with zero four-fold counts comes from the
+    model's mean count at the current (p, chi).  Uncertainties are absolute,
+    from the inverse Gauss-Newton Hessian of the weighted residuals.  p is
+    clipped to [0, 1]; p_at_boundary flags a clipped fit.
     """
-    chi = initial.chi
-    params = HomModelParams(p=min(max(initial.p, 0.0), 1.0), chi=chi)
+    chi = 0.0
+    params = HomModelParams(p=0.8, chi=chi)
     solution = None
     for outer in range(1, max_outer + 1):
         theta, p4, sigma, kept = normalize_dataset(data, chi)
@@ -222,10 +217,10 @@ def fit_purity(data: HomDataset, initial=HomModelParams(p=0.8, chi=0.0), max_out
             raise FitError("fewer than 3 usable rows after exclusion")
         empty = data.four_fold[kept] == 0
         if np.any(empty):
+            scale = _scale(data, kept, chi)
+            mean_n4 = four_fold_probability(theta, params) / scale
             sigma = sigma.copy()
-            sigma[empty] = np.sqrt(
-                _model_variance_for_empty_rows(data, kept, chi, params)[empty]
-            )
+            sigma[empty] = np.sqrt(scale**2 * mean_n4)[empty]
         if np.any(sigma <= 0):
             raise FitError("nonpositive sigma; cannot weight residuals")
 

@@ -204,13 +204,13 @@ def phasematch_function(omega_s, omega_i, fiber: FiberSpec, peak_power=0.0):
 
 
 @functools.lru_cache(maxsize=32)
-def _ridge(pump: PumpSpec, fiber: FiberSpec, peak_power):
+def _ridge(pump: PumpSpec, fiber: FiberSpec):
     """Phasematch ridge across the pump band, which does not depend on the length.
 
     Solves `_RIDGE_SAMPLES` pumps spanning the pump support in one
     `solve_phasematch` call; returns read-only arrays (omega_s, omega_i,
     slope_s, slope_i) of the phasematched pairs and their dk slopes
-    d(dk)/d(omega) at fixed pump.  Memoized, so the purity gate's grids at
+    d(dk)/d(omega) at fixed pump, at the pump's peak power.  Memoized, so the purity gate's grids at
     n and 2n and every length of a scan share one ridge: callers pass the
     fiber with its length set to 1 m.
     """
@@ -218,7 +218,9 @@ def _ridge(pump: PumpSpec, fiber: FiberSpec, peak_power):
     dn = birefringence(pump.center_wavelength, fiber)
     e_lo, e_hi = _pump_field_support(pump)
     omega_p = np.linspace(e_lo, e_hi, _RIDGE_SAMPLES)
-    points = solve_phasematch(2.0 * np.pi * C_LIGHT / omega_p, fiber, peak_power)
+    points = solve_phasematch(
+        2.0 * np.pi * C_LIGHT / omega_p, fiber, resolve_peak_power(pump)
+    )
     found = [k for k, point in enumerate(points) if point is not None]
     if not found:
         raise GridError(
@@ -235,14 +237,7 @@ def _ridge(pump: PumpSpec, fiber: FiberSpec, peak_power):
     return ridge
 
 
-def adaptive_grid(
-    pump: PumpSpec,
-    fiber: FiberSpec,
-    n_signal=256,
-    n_idler=256,
-    peak_power=None,
-    sidelobes=32,
-):
+def adaptive_grid(pump: PumpSpec, fiber: FiberSpec, n_signal=256, n_idler=256, sidelobes=32):
     """Spectral grid that tracks the phasematch ridge across the pump band.
 
     For a handful of pump frequencies spanning the pump support the
@@ -253,11 +248,7 @@ def adaptive_grid(
     function (w_s + w_i within twice the pump support) and to the dispersion
     profile band.
     """
-    if peak_power is None:
-        peak_power = resolve_peak_power(pump)
-    omega_s, omega_i, slope_s, slope_i = _ridge(
-        pump, dataclasses.replace(fiber, length=1.0), peak_power
-    )
+    omega_s, omega_i, slope_s, slope_i = _ridge(pump, dataclasses.replace(fiber, length=1.0))
     lobe = 2.0 * np.pi * sidelobes / fiber.length
     reach_s = lobe / np.maximum(np.abs(slope_s), 1e-18)
     reach_i = lobe / np.maximum(np.abs(slope_i), 1e-18)
@@ -284,17 +275,12 @@ def adaptive_grid(
     )
 
 
-def build_jsa(
-    pump: PumpSpec,
-    fiber: FiberSpec,
-    grid: SpectralGrid | None = None,
-    peak_power=None,
-):
-    """Normalized joint spectral amplitude on the given (or adaptive) grid."""
-    if peak_power is None:
-        peak_power = resolve_peak_power(pump)
-    if grid is None:
-        grid = adaptive_grid(pump, fiber, peak_power=peak_power)
+def build_jsa(pump: PumpSpec, fiber: FiberSpec, grid: SpectralGrid):
+    """Normalized joint spectral amplitude on `grid` (see `adaptive_grid`).
+
+    The phase mismatch includes the nonlinear term of the pump's peak power
+    (`resolve_peak_power`).
+    """
     # Signal along axis 0, idler along axis 1; only the pump term needs the
     # full 2-D mesh, so k(omega_s) and k(omega_i) are evaluated once per axis.
     omega_s = grid.signal_omegas[:, None]
@@ -304,7 +290,9 @@ def build_jsa(
         raise GridError(
             "grid misplaced: the pump function vanishes everywhere on the grid"
         )
-    amplitude = envelope * phasematch_function(omega_s, omega_i, fiber, peak_power)
+    amplitude = envelope * phasematch_function(
+        omega_s, omega_i, fiber, resolve_peak_power(pump)
+    )
     norm_sq = np.sum(np.abs(amplitude) ** 2) * grid.signal_spacing * grid.idler_spacing
     if norm_sq == 0.0:
         raise GridError("grid misplaced: the joint amplitude vanishes on the grid")
@@ -333,26 +321,12 @@ def schmidt_decompose(jsa: JointSpectralAmplitude):
     )
 
 
-def purity_vs_length(
-    pump: PumpSpec,
-    fiber: FiberSpec,
-    lengths,
-    peak_power=None,
-    n_points=256,
-    sidelobes=32,
-):
+def purity_vs_length(pump: PumpSpec, fiber: FiberSpec, lengths, n_points=256, sidelobes=32):
     """[(length, heralded purity)] for the same fiber cut to each length [m]."""
     out = []
     for length in lengths:
         cut = dataclasses.replace(fiber, length=float(length))
-        grid = adaptive_grid(
-            pump,
-            cut,
-            n_signal=n_points,
-            n_idler=n_points,
-            peak_power=peak_power,
-            sidelobes=sidelobes,
-        )
-        jsa = build_jsa(pump, cut, grid=grid, peak_power=peak_power)
+        grid = adaptive_grid(pump, cut, n_points, n_points, sidelobes)
+        jsa = build_jsa(pump, cut, grid)
         out.append((float(length), schmidt_decompose(jsa).purity))
     return out

@@ -44,10 +44,8 @@ from .constants import SILICA_SELLMEIER, SILICA_VALID_RANGE
 from .errors import DomainError, ModeCutoffError
 
 __all__ = [
-    "SellmeierModel",
     "FiberAxisGeometry",
     "FiberSpec",
-    "FUSED_SILICA",
     "silica_index",
     "cladding_index",
     "lp01_effective_index",
@@ -62,32 +60,6 @@ _J0_FIRST_ZERO = float(jn_zeros(0, 1)[0])  # 2.404825...
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 # As many bisections as there are binades between tiny and max.
 _MAX_ITERATIONS = 2046
-
-
-@dataclass(frozen=True)
-class SellmeierModel:
-    """n^2 = 1 + sum B_j lam^2/(lam^2 - L_j), lam in um, L_j in um^2."""
-
-    resonances: tuple  # ((strength, resonance_wavelength_sq_um2), ...)
-
-    def __post_init__(self):
-        if not self.resonances:
-            raise ValueError("SellmeierModel needs at least one resonance term")
-        for strength, lam_sq in self.resonances:
-            if strength <= 0 or lam_sq <= 0:
-                raise ValueError(
-                    "Sellmeier strengths and resonance wavelengths must be positive"
-                )
-
-    def index(self, wavelength):
-        """Refractive index at vacuum wavelength [m]; scalar or array."""
-        lam_sq = (np.asarray(wavelength, dtype=float) * 1e6) ** 2
-        n_sq = 1.0 + sum(b * lam_sq / (lam_sq - l2) for b, l2 in self.resonances)
-        n = np.sqrt(n_sq)
-        return float(n) if np.ndim(wavelength) == 0 else n
-
-
-FUSED_SILICA = SellmeierModel(SILICA_SELLMEIER)
 
 
 @dataclass(frozen=True)
@@ -142,7 +114,8 @@ class FiberSpec:
 def silica_index(wavelength):
     """Fused-silica refractive index at vacuum wavelength [m].
 
-    Accepts a scalar or array; valid for 0.21 um < wavelength < 3.7 um.
+    Malitson's Sellmeier fit (constants.SILICA_SELLMEIER); accepts a scalar
+    or array; valid for 0.21 um < wavelength < 3.7 um.
     """
     lo, hi = SILICA_VALID_RANGE
     wl = np.asarray(wavelength, dtype=float)
@@ -151,7 +124,9 @@ def silica_index(wavelength):
             f"wavelength {wavelength} outside Sellmeier validity window "
             f"({lo * 1e6:.2f} um, {hi * 1e6:.2f} um)"
         )
-    return FUSED_SILICA.index(wavelength)
+    lam_sq = (wl * 1e6) ** 2
+    n = np.sqrt(1.0 + sum(b * lam_sq / (lam_sq - l2) for b, l2 in SILICA_SELLMEIER))
+    return float(n) if np.ndim(wavelength) == 0 else n
 
 
 def cladding_index(wavelength, air_filling_fraction):

@@ -47,7 +47,7 @@ def _report(criterion, ok, detail):
 
 def test_criterion_01_zero_gvd_wavelength(fiber_40cm):
     start = time.perf_counter()
-    profile = DispersionProfile.from_fiber(fiber_40cm, Axis.FAST)
+    profile = DispersionProfile.from_geometry(fiber_40cm.fast_axis)
     roots = zero_gvd_wavelengths(profile, (560e-9, 1000e-9))
     elapsed = time.perf_counter() - start
     lam = roots[0] if roots else float("nan")
@@ -188,7 +188,11 @@ def test_criterion_07_schmidt_suite(pump_40cm, fiber_40cm):
     )
     mehler_ok = abs(mehler.purity - np.sqrt(1 - rho**2)) < 1e-4
 
-    paper = jsamod.schmidt_decompose(jsamod.build_jsa(pump_40cm, fiber_40cm))
+    paper = jsamod.schmidt_decompose(
+        jsamod.build_jsa(
+            pump_40cm, fiber_40cm, jsamod.adaptive_grid(pump_40cm, fiber_40cm)
+        )
+    )
     sum_ok = abs(sum(paper.coefficients) - 1.0) < 1e-10
     _, drift = _gated_purity(pump_40cm, fiber_40cm)
     drift_ok = drift < 1e-3
@@ -213,7 +217,7 @@ def test_criterion_08_overlap_identity(fiber_40cm):
             filter_width=rng.uniform(5e-9, 10e-9),
         )
         fiber = dataclasses.replace(fiber_40cm, length=rng.uniform(0.3, 1.2))
-        jsa = jsamod.build_jsa(pump, fiber)
+        jsa = jsamod.build_jsa(pump, fiber, jsamod.adaptive_grid(pump, fiber))
         gap = abs(
             hom.overlap_p(jsa, jsa) - jsamod.schmidt_decompose(jsa).purity
         )

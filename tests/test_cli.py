@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfwmkit import cli
 from sfwmkit.errors import ConfigError
@@ -108,6 +110,9 @@ class TestStrictNumbers:
             ("grid.n_idler", False),
             ("grid.sidelobes", "32"),
             ("seed", 0.5),
+            ("grid.n_signal", -5),
+            ("grid.n_idler", 63),
+            ("grid.sidelobes", 0),
         ],
     )
     def test_bad_value_rejected_with_key_path(self, path, value):
@@ -119,6 +124,12 @@ class TestStrictNumbers:
         section[key] = value
         with pytest.raises(ConfigError, match=f"^{re.escape(path)} "):
             cli.parse_config(document)
+
+    @pytest.mark.parametrize("key, value", [("n_signal", 64), ("n_idler", 64), ("sidelobes", 1)])
+    def test_grid_minimum_accepted(self, key, value):
+        document = _paper_document()
+        document["grid"][key] = value
+        assert getattr(cli.parse_config(document), key) == value
 
     def test_json_nan_literal_rejected_on_load(self, tmp_path):
         path = tmp_path / "nan.json"
@@ -151,6 +162,62 @@ class TestStrictNumbers:
             build()
 
 
+def _key_paths(node, prefix=()):
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+_PRESET_PATHS = sorted(_key_paths(_paper_document()))
+# Numbers of every kind, integers too large for a float among them.
+_NUMBERS = (
+    st.integers()
+    | st.sampled_from([0, -1, 10**400, -(10**400)])
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated_preset(draw):
+    """The paper40cm document with one or two keys deleted, replaced or added."""
+    document = _paper_document()
+    for _ in range(draw(st.integers(1, 2))):
+        *parents, key = draw(st.sampled_from(_PRESET_PATHS))
+        section = document
+        for name in parents:
+            section = section.get(name) if isinstance(section, dict) else None
+        if not isinstance(section, dict):
+            continue
+        action = draw(st.sampled_from(["delete", "replace", "add"]))
+        if action == "delete":
+            section.pop(key, None)
+        elif action == "replace":
+            section[key] = draw(_NUMBERS | _JSON_VALUES)
+        else:
+            section[draw(st.text(min_size=1, max_size=4))] = draw(_JSON_VALUES)
+    return document
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(document=_mutated_preset() | _JSON_VALUES)
+    def test_parses_or_raises_config_error(self, document):
+        # Nothing but a RunConfig or a ConfigError: a bad document never
+        # reaches the user as a traceback.
+        try:
+            config = cli.parse_config(document)
+        except ConfigError:
+            return
+        assert isinstance(config, cli.RunConfig)
+
+
 class TestExitCodes:
     def test_missing_config_exits_one(self, capsys):
         code, _, err = _run(["gvm", "--config", "does-not-exist.json"], capsys)
@@ -169,13 +236,27 @@ class TestExitCodes:
                 ["hom-fit", "--data", "{tmp}/nan.csv", "--rep-rate", "76e6"],
                 "nan.csv:3: R_AB must be a finite number, got 'nan'",
             ),
+            (
+                ["hom-fit", "--data", "{tmp}/negative.csv", "--rep-rate", "76e6"],
+                "negative.csv: four_fold must be finite and >= 0, got -12.0",
+            ),
+            (
+                ["hom-fit", "--data", "{tmp}/duration.csv", "--rep-rate", "76e6"],
+                "duration.csv: duration must be finite and > 0, got -60.0",
+            ),
+            (["phasematch", "--range", "-5", "10"], "--range: pump wavelengths must be"),
         ],
     )
     def test_user_errors_exit_one(self, config_path, tmp_path, capsys, argv, message):
-        (tmp_path / "nan.csv").write_text(
-            "theta_deg,R_ABCD,R_AB,R_CD,R_AD,R_BC,duration_s\n"
-            "0,10,1e6,1e6,1e6,1e6,60\n45,12,nan,1e6,1e6,1e6,60\n"
-        )
+        for name, row in (
+            ("nan", "45,12,nan,1e6,1e6,1e6,60"),
+            ("negative", "45,-12,1e6,1e6,1e6,1e6,60"),
+            ("duration", "45,12,1e6,1e6,1e6,1e6,-60"),
+        ):
+            (tmp_path / f"{name}.csv").write_text(
+                "theta_deg,R_ABCD,R_AB,R_CD,R_AD,R_BC,duration_s\n"
+                f"0,10,1e6,1e6,1e6,1e6,60\n{row}\n"
+            )
         argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--config", config_path]
         code, _, err = _run(argv, capsys)
         assert code == 1

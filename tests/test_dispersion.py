@@ -12,7 +12,7 @@ def _profile_from_k(kfunc, om_lo=1.6e15, om_hi=3.2e15, n=512):
     """Profile whose wavevector equals an analytic k(omega)."""
     omegas = np.linspace(om_lo, om_hi, n)
     n_eff = kfunc(omegas) * C_LIGHT / omegas
-    return disp.DispersionProfile(axis=disp.Axis.FAST, omegas=omegas, n_eff=n_eff)
+    return disp.DispersionProfile(omegas=omegas, n_eff=n_eff)
 
 
 class TestConstantIndex:
@@ -23,9 +23,7 @@ class TestConstantIndex:
     @pytest.fixture
     def profile(self):
         omegas = np.linspace(1.6e15, 3.2e15, 256)
-        return disp.DispersionProfile(
-            axis=disp.Axis.FAST, omegas=omegas, n_eff=np.full(256, self.N0)
-        )
+        return disp.DispersionProfile(omegas=omegas, n_eff=np.full(256, self.N0))
 
     def test_wavevector(self, profile):
         om = 2.4e15
@@ -203,9 +201,7 @@ class TestZeroGvdFilter:
             c0, c1, c2, c3 = second(j)  # k'' = c0 + c1 u + c2 u^2 + c3 u^3
             quintic[:4, j] = c3 / h**3 / 20, c2 / h**2 / 12, c1 / h / 6, c0 / 2
         spline = PPoly(quintic, omegas)
-        return disp.DispersionProfile(
-            axis=disp.Axis.FAST, omegas=omegas, n_eff=np.ones(33), _spline=spline
-        )
+        return disp.DispersionProfile(omegas=omegas, n_eff=np.ones(33), _spline=spline)
 
     def test_two_roots_in_one_piece(self):
         s = 2.0**-86
@@ -261,14 +257,10 @@ class TestProfileValidation:
     def test_too_few_points(self):
         omegas = np.linspace(1e15, 2e15, 16)
         with pytest.raises(ValueError):
-            disp.DispersionProfile(
-                axis=disp.Axis.FAST, omegas=omegas, n_eff=np.ones(16)
-            )
+            disp.DispersionProfile(omegas=omegas, n_eff=np.ones(16))
 
     def test_non_monotone_grid(self):
         omegas = np.linspace(1e15, 2e15, 64)
         omegas[10] = omegas[9]
         with pytest.raises(ValueError):
-            disp.DispersionProfile(
-                axis=disp.Axis.FAST, omegas=omegas, n_eff=np.ones(64)
-            )
+            disp.DispersionProfile(omegas=omegas, n_eff=np.ones(64))

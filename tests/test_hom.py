@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfwmkit import hom
 from sfwmkit import jsa as jsamod
@@ -39,9 +41,8 @@ class TestHeraldedDensityMatrix:
         jsa = _gaussian_jsa(0.6)
         rho = hom.heralded_density_matrix(jsa)
         schmidt = jsamod.schmidt_decompose(jsa).purity
-        assert hom.density_matrix_purity(rho, jsa.grid.idler_spacing) == pytest.approx(
-            schmidt, abs=1e-8
-        )
+        trace_rho_sq = np.real(np.sum(rho * rho.T)) * jsa.grid.idler_spacing**2
+        assert trace_rho_sq == pytest.approx(schmidt, abs=1e-8)
 
 
 class TestOverlap:
@@ -68,6 +69,28 @@ class TestOverlap:
         with pytest.raises(ValueError):
             hom.overlap_p(a, b)
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(correlation=st.floats(-0.9, 0.9), n=st.integers(64, 128))
+    def test_self_overlap_is_purity_property(self, correlation, n):
+        jsa = _gaussian_jsa(correlation, n=n)
+        assert hom.overlap_p(jsa, jsa) == pytest.approx(
+            jsamod.schmidt_decompose(jsa).purity, rel=1e-10
+        )
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        corr_a=st.floats(-0.9, 0.9),
+        corr_b=st.floats(-0.9, 0.9),
+        shift_s=st.floats(-2e13, 2e13),
+    )
+    def test_overlap_bounded_by_geometric_mean_of_purities(self, corr_a, corr_b, shift_s):
+        # Cauchy-Schwarz for the trace inner product: Tr[rho_a rho_b] <= sqrt(P_a P_b).
+        # The two sources share the idler axis; the signal axis may differ.
+        a = _gaussian_jsa(corr_a)
+        b = _gaussian_jsa(corr_b, center_s=2.6e15 + shift_s)
+        bound = np.sqrt(hom.overlap_p(a, a) * hom.overlap_p(b, b))
+        assert hom.overlap_p(a, b) <= bound * (1 + 1e-12)
+
 
 class TestFourFoldProbability:
     def test_visibility_endpoints(self):
@@ -87,6 +110,51 @@ class TestFourFoldProbability:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             hom.HomModelParams(p=1.2)
+
+
+def _dataset(**columns):
+    """Two-row dataset with valid counts, overridden by `columns`."""
+    values = dict(
+        theta=[0.0, 0.5],
+        four_fold=[80.0, 60.0],
+        two_fold_ab=[1000.0, 1000.0],
+        two_fold_cd=[1100.0, 1100.0],
+        two_fold_ad=[900.0, 900.0],
+        two_fold_bc=[950.0, 950.0],
+        duration=[10.0, 10.0],
+        repetition_rate=1e6,
+    )
+    values.update(columns)
+    return hom.HomDataset(**values)
+
+
+class TestHomDatasetValidation:
+    @pytest.mark.parametrize(
+        "column", ["four_fold", "two_fold_ab", "two_fold_cd", "two_fold_ad", "two_fold_bc"]
+    )
+    def test_negative_count_rejected(self, column):
+        with pytest.raises(ValueError, match=f"{column} must be finite and >= 0, got -5.0"):
+            _dataset(**{column: [80.0, -5.0]})
+
+    @pytest.mark.parametrize("duration", [0.0, -60.0])
+    def test_non_positive_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="duration must be finite and > 0"):
+            _dataset(duration=[10.0, duration])
+
+    @pytest.mark.parametrize("column", ["theta", "two_fold_bc", "duration"])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_value_rejected(self, column, value):
+        with pytest.raises(ValueError, match=f"{column} must be finite"):
+            _dataset(**{column: [1.0, value]})
+
+    @pytest.mark.parametrize("rate", [0.0, -76e6, np.nan, np.inf])
+    def test_bad_repetition_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="repetition_rate must be finite and > 0"):
+            _dataset(repetition_rate=rate)
+
+    def test_zero_counts_accepted(self):
+        # A row with no four-fold events is data, not an error.
+        assert len(_dataset(four_fold=[0.0, 60.0])) == 2
 
 
 class TestNormalizeDataset:

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfwmkit import jsa as jsamod
 from sfwmkit.constants import C_LIGHT
@@ -13,6 +15,10 @@ from purity_reference import reference_purity
 def _normalized_jsa(amplitude, grid):
     norm = np.sqrt(np.sum(np.abs(amplitude) ** 2) * grid.signal_spacing * grid.idler_spacing)
     return jsamod.JointSpectralAmplitude(grid=grid, amplitude=amplitude / norm)
+
+
+def _paper_jsa(pump, fiber):
+    return jsamod.build_jsa(pump, fiber, jsamod.adaptive_grid(pump, fiber))
 
 
 def _square_grid(center_s, center_i, half_span, n=128):
@@ -106,7 +112,7 @@ class TestPhasematchFunction:
 
 class TestBuildJsa:
     def test_normalization(self, pump_40cm, fiber_40cm):
-        jsa = jsamod.build_jsa(pump_40cm, fiber_40cm)
+        jsa = _paper_jsa(pump_40cm, fiber_40cm)
         total = (
             np.sum(np.abs(jsa.amplitude) ** 2)
             * jsa.grid.signal_spacing
@@ -117,7 +123,7 @@ class TestBuildJsa:
     def test_centroid_near_operating_point(self, pump_40cm, fiber_40cm):
         from sfwmkit.phasematch import solve_phasematch
 
-        jsa = jsamod.build_jsa(pump_40cm, fiber_40cm)
+        jsa = _paper_jsa(pump_40cm, fiber_40cm)
         weights = np.abs(jsa.amplitude) ** 2
         om_s, om_i = jsa.grid.meshes()
         centroid_s = np.sum(weights * om_s) / np.sum(weights)
@@ -140,6 +146,24 @@ class TestBuildJsa:
             om_s, om_i, fiber_40cm, jsamod.resolve_peak_power(pump_40cm)
         )
         assert np.array_equal(jsa.amplitude, _normalized_jsa(product, grid).amplitude)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        center_nm=st.floats(781.0, 787.0),
+        filter_nm=st.floats(5.0, 10.0),
+        length=st.floats(0.3, 30.0),
+    )
+    def test_normalized_on_small_grids(self, pump_40cm, fiber_40cm, center_nm, filter_nm, length):
+        # sum |f|^2 dws dwi = 1 on a 64^2 adaptive grid, across the pumps and
+        # lengths of the paper fiber's operating range.
+        pump = dataclasses.replace(
+            pump_40cm, center_wavelength=center_nm * 1e-9, filter_width=filter_nm * 1e-9
+        )
+        fiber = dataclasses.replace(fiber_40cm, length=length)
+        jsa = jsamod.build_jsa(pump, fiber, jsamod.adaptive_grid(pump, fiber, 64, 64))
+        grid = jsa.grid
+        total = np.sum(np.abs(jsa.amplitude) ** 2) * grid.signal_spacing * grid.idler_spacing
+        assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_misplaced_grid_raises(self, pump_40cm, fiber_40cm):
         grid = _square_grid(2.4e15, 2.3e15, 1e12, n=64)  # far from the ridge
@@ -173,7 +197,7 @@ class TestSchmidt:
         assert result.purity == pytest.approx(np.sqrt(1 - ratio**2), abs=1e-4)
 
     def test_coefficients_sum_to_one(self, pump_40cm, fiber_40cm):
-        jsa = jsamod.build_jsa(pump_40cm, fiber_40cm)
+        jsa = _paper_jsa(pump_40cm, fiber_40cm)
         result = jsamod.schmidt_decompose(jsa)
         assert sum(result.coefficients) == pytest.approx(1.0, abs=1e-10)
 
@@ -215,7 +239,7 @@ class TestSchmidt:
         assert purity == pytest.approx(reference_purity(pump_40cm, fiber), rel=0.02)
 
     def test_svd_reconstruction(self, pump_40cm, fiber_40cm):
-        jsa = jsamod.build_jsa(pump_40cm, fiber_40cm)
+        jsa = _paper_jsa(pump_40cm, fiber_40cm)
         u, s, vh = np.linalg.svd(jsa.amplitude)
         rebuilt = (u * s) @ vh
         assert np.abs(rebuilt - jsa.amplitude).max() < 1e-10 * np.abs(jsa.amplitude).max()
@@ -252,7 +276,7 @@ class TestRidge:
         assert len(solves) == 1
 
     def test_grid_independent_of_cache_state(self, pump_40cm, fiber_40cm):
-        ridge = jsamod._ridge(pump_40cm, dataclasses.replace(fiber_40cm, length=1.0), 0.0)
+        ridge = jsamod._ridge(pump_40cm, dataclasses.replace(fiber_40cm, length=1.0))
         assert not any(array.flags.writeable for array in ridge)
         for length in (0.4, 100.0):
             cut = dataclasses.replace(fiber_40cm, length=length)

@@ -276,12 +276,6 @@ class TestSpecTypes:
         with pytest.raises(ValueError):
             fiber_40cm.axis_geometry("diagonal")
 
-    def test_sellmeier_validation(self):
-        with pytest.raises(ValueError):
-            mo.SellmeierModel(())
-        with pytest.raises(ValueError):
-            mo.SellmeierModel(((-0.5, 0.01),))
-
 
 class TestHe11IndexGradient:
     @staticmethod
