@@ -115,9 +115,9 @@ def _number(mapping, key, path, required=True):
     raise ConfigError(f"{_key_path(path, key)} must be a finite number, got {value!r}")
 
 
-def _integer(mapping, key, path, default, minimum=None):
-    """mapping.get(key, default) as an int; fractional values and values below
-    `minimum` are rejected."""
+def _integer(mapping, key, path, default, minimum=None, maximum=None):
+    """mapping.get(key, default) as an int; fractional values and values outside
+    [`minimum`, `maximum`] are rejected."""
     value = mapping.get(key, default)
     if isinstance(value, bool) or not (
         isinstance(value, int) or (isinstance(value, float) and value.is_integer())
@@ -125,6 +125,8 @@ def _integer(mapping, key, path, default, minimum=None):
         raise ConfigError(f"{_key_path(path, key)} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{_key_path(path, key)} must be >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{_key_path(path, key)} must be <= {maximum}, got {value!r}")
     return int(value)
 
 
@@ -183,9 +185,10 @@ def parse_config(document):
     return RunConfig(
         fiber=fiber,
         pump=pump,
-        # A spectral grid axis needs at least 64 samples.
-        n_signal=_integer(grid_doc, "n_signal", "grid", 256, minimum=64),
-        n_idler=_integer(grid_doc, "n_idler", "grid", 256, minimum=64),
+        # A spectral grid axis needs at least 64 samples; `purity` doubles the
+        # grid, and 4096^2 complex amplitudes already take 268 MB.
+        n_signal=_integer(grid_doc, "n_signal", "grid", 256, minimum=64, maximum=2048),
+        n_idler=_integer(grid_doc, "n_idler", "grid", 256, minimum=64, maximum=2048),
         sidelobes=_integer(grid_doc, "sidelobes", "grid", 32, minimum=1),
         seed=_integer(document, "seed", "", 0),
     )
@@ -253,12 +256,15 @@ def _csv(header, rows):
 
 
 def _json(fields):
-    """JSON text of `fields`, every float (also in a list) through _fmt."""
+    """JSON text of `fields`, every float (also in a list) through _fmt and a
+    non-finite one as null."""
 
     def rounded(value):
         if isinstance(value, list):
             return [rounded(v) for v in value]
-        return float(_fmt(value)) if isinstance(value, float) else value
+        if isinstance(value, float):
+            return float(_fmt(value)) if math.isfinite(value) else None
+        return value
 
     return json.dumps({key: rounded(value) for key, value in fields.items()}, indent=2) + "\n"
 
@@ -356,22 +362,18 @@ def _cmd_purity(config, args):
     )
 
 
-def _purity_scan_table(config, lengths):
-    results = purity_vs_length(
-        config.pump,
-        config.fiber,
-        lengths,
-        n_points=config.n_signal,
-        sidelobes=config.sidelobes,
-    )
-    return _csv(("length_m", "purity"), results)
-
-
 def _cmd_purity_scan(config, args):
     with _user_values("--lengths"):
         for length in args.lengths:
             dataclasses.replace(config.fiber, length=length)
-    return _purity_scan_table(config, args.lengths)
+    results = purity_vs_length(
+        config.pump,
+        config.fiber,
+        args.lengths,
+        n_points=config.n_signal,
+        sidelobes=config.sidelobes,
+    )
+    return _csv(("length_m", "purity"), results)
 
 
 def _cmd_hom_fit(config, args):
@@ -450,8 +452,6 @@ def _cmd_figure(config, args):
     """The data behind one figure as CSV."""
     if args.id == "fig1b":
         return _phasematch_table(config, (765e-9, 795e-9), 31)
-    if args.id == "purity_vs_L":
-        return _purity_scan_table(config, [0.4, 1.0, 10.0, 100.0])
     # fig1a: the full Ti:Sapphire pump tuning range; the correlation column
     # classifies each point by the signs of the local sideband slopes: equal
     # signs mean frequency-correlated pairs, opposite signs anticorrelated.
@@ -538,7 +538,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_fit_fiber)
 
     p = common(sub.add_parser("figure", help="emit data behind one figure"))
-    p.add_argument("--id", required=True, choices=("fig1a", "fig1b", "purity_vs_L"))
+    p.add_argument("--id", required=True, choices=("fig1a", "fig1b"))
     p.set_defaults(func=_cmd_figure)
 
     return parser

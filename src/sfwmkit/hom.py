@@ -15,19 +15,22 @@ normalization
     P4 = N4 (1 + cos^2(2 chi) cos^2(2 theta)) r d
          / (2 [N_AB N_CD + N_AD N_BC]),
 
-with N the raw counts accumulated for duration d at pulse rate r.  Because
-the normalization itself depends on chi, fitting alternates normalization
-and weighted least squares until chi stops moving.
+with N the raw counts accumulated for duration d at pulse rate r.  At a
+fixed normalization offset the model is linear in (1 - p)/2 and
+(1 + p) cos^2(2 chi)/2, so the fit there is a closed-form weighted linear
+least-squares fit; the self-consistent chi, at which the fit returns the
+offset the data were normalized with, is one bracketed root.
 """
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import FitError
 from .jsa import JointSpectralAmplitude
+from .material_optics import chandrupatla
 
 __all__ = [
     "HomModelParams",
@@ -141,14 +144,10 @@ def overlap_p(jsa_h: JointSpectralAmplitude, jsa_v: JointSpectralAmplitude):
     return float(np.real(np.sum(rho_h * rho_v.T)) * gh.idler_spacing**2)
 
 
-def _p4_model(theta, p, chi):
-    cc = np.cos(2.0 * chi) ** 2 * np.cos(2.0 * np.asarray(theta)) ** 2
-    return 0.5 * ((1.0 - p) + (1.0 + p) * cc)
-
-
 def four_fold_probability(theta, params: HomModelParams):
     """Model four-fold probability P4(theta); scalar or array theta [rad]."""
-    value = _p4_model(theta, params.p, params.chi)
+    cc = np.cos(2.0 * params.chi) ** 2 * np.cos(2.0 * np.asarray(theta)) ** 2
+    value = 0.5 * ((1.0 - params.p) + (1.0 + params.p) * cc)
     return float(value) if np.ndim(theta) == 0 else value
 
 
@@ -197,75 +196,90 @@ def normalize_dataset(data: HomDataset, chi=0.0):
     return theta, p4, np.sqrt(var), kept
 
 
-def fit_purity(data: HomDataset, max_outer=100):
-    """Fit (p, chi) to a HOM dataset, alternating normalization and fitting.
+# Corners of the (a0, a1) polygon where p and cos^2(2 chi) lie in [0, 1]; on
+# the edge from (0, 1) to (1/2, 1/2), cos^2(2 chi) = a1 / (1 - a0) is 1 exactly.
+_CORNERS = np.array([[0.0, 1.0], [0.5, 0.5], [0.5, 0.0], [0.0, 0.0]])
+# The fit at one normalization offset: the fitted p, c = cos^2(2 chi) and chi;
+# x = cos^2(2 theta) of the kept rows; sigma from the model where N4 = 0.
+_Fit = namedtuple("_Fit", "p c chi x p4 sigma")
 
-    Starts from (p, chi) = (0.8, 0), normalizes the data at that chi, runs a
-    weighted least-squares fit of P4(theta; p, chi), and repeats with the
-    fitted chi until it moves by less than 1e-8 rad (at most `max_outer`
-    rounds).  The sigma of a row with zero four-fold counts comes from the
-    model's mean count at the current (p, chi).  Uncertainties are absolute,
-    from the inverse Gauss-Newton Hessian of the weighted residuals.  p is
-    clipped to [0, 1]; p_at_boundary flags a clipped fit.
+
+def _fit_at(data: HomDataset, chi):
+    """Weighted fit of P4 = a0 + a1 cos^2(2 theta) to the data normalized at chi.
+
+    a0 = (1 - p)/2 and a1 = (1 + p) cos^2(2 chi)/2 solve the 2x2 normal
+    equations, or, where that solution leaves the polygon, give the least of
+    its four clipped edge minima.  A row with zero four-fold counts has sigma^2
+    = scale P4 at the fitted point, so it adds [1, x] / scale to the equations.
     """
-    chi = 0.0
-    params = HomModelParams(p=0.8, chi=chi)
-    solution = None
-    for outer in range(1, max_outer + 1):
-        theta, p4, sigma, kept = normalize_dataset(data, chi)
-        if len(theta) < 3:
-            raise FitError("fewer than 3 usable rows after exclusion")
-        empty = data.four_fold[kept] == 0
-        if np.any(empty):
-            scale = _scale(data, kept, chi)
-            mean_n4 = four_fold_probability(theta, params) / scale
-            sigma = sigma.copy()
-            sigma[empty] = np.sqrt(scale**2 * mean_n4)[empty]
-        if np.any(sigma <= 0):
-            raise FitError("nonpositive sigma; cannot weight residuals")
+    theta, p4, sigma, kept = normalize_dataset(data, chi)
+    if len(theta) < 3:
+        raise FitError("fewer than 3 usable rows after exclusion")
+    x = np.cos(2.0 * theta) ** 2
+    scale = _scale(data, kept, chi)
+    empty = data.four_fold[kept] == 0
+    basis = np.stack([np.ones_like(x), x])
+    weighted = basis[:, ~empty] / sigma[~empty] ** 2
+    hess = weighted @ basis[:, ~empty].T
+    grad = weighted @ p4[~empty] - basis[:, empty] @ (1.0 / scale[empty])
+    det = hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2
+    if not det > 1e-12 * hess[0, 0] * hess[1, 1]:
+        raise FitError(f"singular normal equations at chi = {chi!r}")
+    a = np.array([[hess[1, 1], -hess[0, 1]], [-hess[0, 1], hess[0, 0]]]) @ grad / det
+    if not (0.0 <= a[0] <= 0.5 and 0.0 <= a[1] <= 1.0 - a[0]):
+        edges = []
+        for start, end in zip(_CORNERS, np.roll(_CORNERS, -1, axis=0)):
+            d = end - start
+            t = np.clip((grad - hess @ start) @ d / (d @ hess @ d), 0.0, 1.0)
+            edges.append(start + t * d)
+        a = min(edges, key=lambda a: 0.5 * a @ hess @ a - grad @ a)
+    c = min(a[1] / (1.0 - a[0]), 1.0)
+    sigma = np.where(empty, np.sqrt(scale * (a[0] + a[1] * x)), sigma)
+    return _Fit(1.0 - 2.0 * a[0], c, 0.5 * np.arccos(np.sqrt(c)), x, p4, sigma)
 
-        def residuals(x):
-            return (_p4_model(theta, x[0], x[1]) - p4) / sigma
 
-        fit = least_squares(
-            residuals,
-            x0=[params.p, chi],
-            bounds=([0.0, -np.pi / 4], [1.0, np.pi / 4]),
-            xtol=1e-14,
-            ftol=1e-14,
-            gtol=1e-14,
+def fit_purity(data: HomDataset):
+    """Fit (p, chi) to a HOM dataset with the self-consistent normalization.
+
+    The fit at normalization offset chi (`_fit_at`) returns a fitted offset
+    F(chi) in [0, pi/4], so chi - F(chi) changes sign on [0, pi/4].  chi is an
+    end of that bracket where F fixes it, else F at the root `chandrupatla`
+    finds; only cos^2(2 chi) is observable, so chi >= 0.  Uncertainties are
+    absolute, from the inverse Gauss-Newton Hessian in (p, cos^2 2chi), so
+    sigma_chi is inf at chi = 0.  n_iterations counts the fits at fixed chi;
+    p_at_boundary flags p within 1e-9 of 0 or 1.
+    """
+    fits = []
+
+    def fit_at(chi):
+        fits.append(_fit_at(data, chi))
+        return fits[-1].chi
+
+    if fit_at(0.0) > 0.0 and fit_at(np.pi / 4) < np.pi / 4:
+        root, ok = chandrupatla(
+            lambda x: x - [fit_at(v) for v in x], 0.0, np.pi / 4, xatol=1e-12
         )
-        if not fit.success:
-            raise FitError(f"least squares failed: {fit.message}")
-        new_p, new_chi = fit.x
-        params = HomModelParams(p=new_p, chi=new_chi)
-        solution = (fit, theta, sigma)
-        if abs(new_chi - chi) < 1e-8:
-            chi = new_chi
-            break
-        chi = new_chi
-    else:
-        raise FitError(f"chi did not converge within {max_outer} normalization rounds")
-
-    fit, theta, sigma = solution
-    dof = max(len(theta) - 2, 1)
-    chi2_reduced = float(2.0 * fit.cost / dof)
-    jac = fit.jac
-    try:
-        cov = np.linalg.inv(jac.T @ jac)
-    except np.linalg.LinAlgError as exc:
-        raise FitError(f"singular Hessian at the solution: {exc}") from exc
-    sigma_p, sigma_chi = np.sqrt(np.diag(cov))
-    # Trust-region solvers stop epsilon inside the box; treat that as pinned.
-    at_boundary = bool(params.p <= 1e-9 or params.p >= 1.0 - 1e-9)
+        if not ok:
+            raise FitError("no self-consistent chi in [0, pi/4]")
+        fit_at(float(root))
+    p, c, chi, x, p4, sigma = fits[-1]
+    if np.any(sigma <= 0):
+        raise FitError("nonpositive sigma; cannot weight residuals")
+    residuals = (0.5 * ((1.0 - p) + (1.0 + p) * c * x) - p4) / sigma
+    jac = np.stack([(c * x - 1.0) / 2.0, (1.0 + p) * x / 2.0], axis=1) / sigma[:, None]
+    # jac is [1, x] / sigma times an invertible 2x2 matrix, and `_fit_at` has
+    # rejected singular normal equations in [1, x].
+    cov = np.linalg.inv(jac.T @ jac)
+    with np.errstate(divide="ignore"):
+        sigma_chi = np.sqrt(cov[1, 1]) / abs(2.0 * np.sin(4.0 * chi))
     return HomFitResult(
-        p=float(params.p),
-        sigma_p=float(sigma_p),
-        chi=float(params.chi),
+        p=float(p),
+        sigma_p=float(np.sqrt(cov[0, 0])),
+        chi=float(chi),
         sigma_chi=float(sigma_chi),
-        chi2_reduced=chi2_reduced,
-        n_iterations=outer,
-        p_at_boundary=at_boundary,
+        chi2_reduced=float(residuals @ residuals / max(len(x) - 2, 1)),
+        n_iterations=len(fits),
+        p_at_boundary=bool(p <= 1e-9 or p >= 1.0 - 1e-9),
     )
 
 

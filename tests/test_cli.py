@@ -113,6 +113,8 @@ class TestStrictNumbers:
             ("grid.n_signal", -5),
             ("grid.n_idler", 63),
             ("grid.sidelobes", 0),
+            ("grid.n_signal", 10**30),
+            ("grid.n_idler", 2049),
         ],
     )
     def test_bad_value_rejected_with_key_path(self, path, value):
@@ -130,6 +132,12 @@ class TestStrictNumbers:
         document = _paper_document()
         document["grid"][key] = value
         assert getattr(cli.parse_config(document), key) == value
+
+    @pytest.mark.parametrize("key", ["n_signal", "n_idler"])
+    def test_grid_maximum_accepted(self, key):
+        document = _paper_document()
+        document["grid"][key] = 2048
+        assert getattr(cli.parse_config(document), key) == 2048
 
     def test_json_nan_literal_rejected_on_load(self, tmp_path):
         path = tmp_path / "nan.json"
@@ -363,6 +371,25 @@ class TestSubcommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["p"] == pytest.approx(0.85, abs=4 * payload["sigma_p"])
+
+    def test_hom_fit_pinned_chi_prints_valid_json(self, config_path, tmp_path, capsys):
+        # The fit pins chi at 0, where sigma_chi is infinite: JSON has no
+        # Infinity, so it prints null.
+        data = tmp_path / "hom.csv"
+        argv = ["hom-sim", "--config", config_path, "--p", "0.9", "--chi", "0"]
+        code, _, _ = _run([*argv, "--seed", "1", "--out", str(data)], capsys)
+        assert code == 0
+        argv = ["hom-fit", "--config", config_path, "--data", str(data), "--rep-rate", "76e6"]
+        code, out, _ = _run(argv, capsys)
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["chi"] == 0.0
+        assert payload["sigma_chi"] is None
+        assert '"chi": 0.0,' in out
 
     def test_figure_fig1b_has_31_rows(self, config_path, capsys):
         code, out, _ = _run(

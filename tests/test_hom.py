@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from sfwmkit import hom
 from sfwmkit import jsa as jsamod
@@ -208,6 +209,34 @@ class TestNormalizeDataset:
         assert sigma[0] > 0
 
 
+def _least_squares_fit(theta, p4, sigma, x0):
+    """Reference: bounded weighted (p, chi) least squares on normalized data."""
+
+    def residuals(x):
+        p, chi = x
+        model = 0.5 * ((1 - p) + (1 + p) * np.cos(2 * chi) ** 2 * np.cos(2 * theta) ** 2)
+        return (model - p4) / sigma
+
+    fit = least_squares(
+        residuals,
+        x0=x0,
+        bounds=([0.0, -np.pi / 4], [1.0, np.pi / 4]),
+        xtol=1e-15,
+        ftol=1e-15,
+        gtol=1e-15,
+    )
+    assert fit.success
+    return fit.x[0], abs(fit.x[1])
+
+
+def _p4_per_count(data, kept, chi):
+    """P4 / N4 of the kept rows at normalization offset chi."""
+    theta = data.theta[kept]
+    denom = (data.two_fold_ab * data.two_fold_cd + data.two_fold_ad * data.two_fold_bc)[kept]
+    cc = np.cos(2 * chi) ** 2 * np.cos(2 * theta) ** 2
+    return (1 + cc) * data.repetition_rate * data.duration[kept] / (2 * denom)
+
+
 class TestFitPurity:
     def test_noiseless_round_trip(self):
         params = hom.HomModelParams(p=0.86, chi=0.07)
@@ -235,15 +264,66 @@ class TestFitPurity:
         result = hom.fit_purity(data)
         assert result.p_at_boundary
 
-    def test_nonconvergence_names_round_limit(self):
-        # chi moves from its 0 start to 0.07 in the first round, so one round
-        # cannot converge.
+    def test_root_failure_raises(self, monkeypatch):
         params = hom.HomModelParams(p=0.86, chi=0.07)
         data = hom.simulate_counts(
             params, THETAS, 5e4, 60.0, REP_RATE, seed=3, noiseless=True
         )
-        with pytest.raises(FitError, match="within 1 normalization rounds"):
-            hom.fit_purity(data, max_outer=1)
+        monkeypatch.setattr(
+            hom, "chandrupatla", lambda *args, **kwargs: (np.array(0.07), np.array(False))
+        )
+        with pytest.raises(FitError, match="no self-consistent chi"):
+            hom.fit_purity(data)
+
+    def test_noiseless_low_overlap_round_trip(self):
+        # Far from p = 1 and chi = 0, where alternating normalization and
+        # fitting moved chi too slowly to converge.
+        params = hom.HomModelParams(p=0.1, chi=0.3)
+        data = hom.simulate_counts(params, THETAS, 1.2e6, 60.0, REP_RATE, noiseless=True)
+        result = hom.fit_purity(data)
+        assert result.p == pytest.approx(0.1, abs=1e-6)
+        assert result.chi == pytest.approx(0.3, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_least_squares_at_returned_chi(self, seed):
+        params = hom.HomModelParams(p=0.86, chi=0.07)
+        data = hom.simulate_counts(params, THETAS, 1.2e6, 60.0, REP_RATE, seed=seed)
+        result = hom.fit_purity(data)
+        theta, p4, sigma, _ = hom.normalize_dataset(data, result.chi)
+        assert np.all(sigma > 0)
+        p, _ = _least_squares_fit(theta, p4, sigma, (0.8, result.chi))
+        assert p == pytest.approx(result.p, abs=1e-8)
+
+    def test_pinned_chi(self):
+        # Seeded data whose fit at chi = 0 wants cos^2(2 chi) > 1.
+        params = hom.HomModelParams(p=0.9, chi=0.0)
+        data = hom.simulate_counts(params, THETAS, 1.2e6, 60.0, REP_RATE, seed=1)
+        result = hom.fit_purity(data)
+        assert result.chi == 0.0
+        assert result.sigma_chi == np.inf
+        assert np.isfinite(result.sigma_p) and 0 < result.sigma_p < 0.05
+        assert result.n_iterations == 1
+
+    def test_empty_rows_are_self_consistent(self):
+        # A few four-fold counts per row: five rows count none, and their
+        # sigmas come from the model at the fitted point.
+        params = hom.HomModelParams(p=0.8, chi=0.2)
+        data = hom.simulate_counts(params, THETAS, 6e4, 60.0, REP_RATE, seed=1)
+        assert np.sum(data.four_fold == 0) >= 3
+        result = hom.fit_purity(data)
+        theta, p4, sigma, kept = hom.normalize_dataset(data, result.chi)
+        model = hom.four_fold_probability(theta, hom.HomModelParams(result.p, result.chi))
+        empty = data.four_fold[kept] == 0
+        sigma[empty] = np.sqrt(model * _p4_per_count(data, kept, result.chi))[empty]
+        p, chi = _least_squares_fit(theta, p4, sigma, (0.8, result.chi))
+        assert p == pytest.approx(result.p, abs=1e-9)
+        assert chi == pytest.approx(result.chi, abs=1e-9)
+
+    def test_singular_normal_equations_raise_fit_error(self):
+        params = hom.HomModelParams(p=0.8, chi=0.0)
+        data = hom.simulate_counts(params, np.zeros(3), 1.2e6, 60.0, REP_RATE, noiseless=True)
+        with pytest.raises(FitError, match="singular normal equations"):
+            hom.fit_purity(data)
 
     def test_too_few_rows_raises(self):
         params = hom.HomModelParams(p=0.8, chi=0.0)
