@@ -25,7 +25,6 @@ from .dispersion import (
     gvd,
     inverse_group_velocity,
     wavevector,
-    zero_gvd_wavelengths,
 )
 from .errors import ConfigError, SfwmkitError
 from .fiber_fit import fit_geometry, load_measurements, read_csv
@@ -37,7 +36,7 @@ from .phasematch import (
     gvm_pump_wavelength,
     phasematch_curve,
     resolve_peak_power,
-    solve_phasematch,
+    ridge_slopes,
 )
 
 __all__ = ["main", "load_config", "RunConfig"]
@@ -453,20 +452,18 @@ def _cmd_figure(config, args):
     if args.id == "fig1b":
         return _phasematch_table(config, (765e-9, 795e-9), 31)
     # fig1a: the full Ti:Sapphire pump tuning range; the correlation column
-    # classifies each point by the signs of the local sideband slopes: equal
-    # signs mean frequency-correlated pairs, opposite signs anticorrelated.
+    # reads the ridge tilt dw_i/dw_s = -slope_s/slope_i: dk slopes of opposite
+    # signs mean frequency-correlated pairs, equal signs anticorrelated.
     points = phasematch_curve(
         (700e-9, 1000e-9), 301, config.fiber, resolve_peak_power(config.pump)
     )
-    lam_p = np.array([p.pump_wavelength for p in points])
-    lam_s = np.array([p.signal_wavelength for p in points])
-    lam_i = np.array([p.idler_wavelength for p in points])
-    product = np.gradient(lam_s, lam_p) * np.gradient(lam_i, lam_p)
+    *_, slope_s, slope_i = ridge_slopes(points, config.fiber)
+    labels = np.where(slope_s * slope_i < 0, "correlated", "anticorrelated")
     return _csv(
         ("lambda_p_nm", "lambda_s_nm", "lambda_i_nm", "correlation"),
         (
-            (p * 1e9, s * 1e9, i * 1e9, "correlated" if c > 0 else "anticorrelated")
-            for p, s, i, c in zip(lam_p, lam_s, lam_i, product)
+            (p.pump_wavelength * 1e9, p.signal_wavelength * 1e9, p.idler_wavelength * 1e9, label)
+            for p, label in zip(points, labels)
         ),
     )
 

@@ -18,11 +18,10 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 from scipy.optimize import least_squares
 
 from .constants import C_LIGHT
-from .dispersion import _SPLINE_ORDER, DispersionProfile, inverse_group_velocity
+from .dispersion import DispersionProfile
 from .errors import ConfigError, DomainError, FitError
 from .material_optics import (
     FiberAxisGeometry,
@@ -30,7 +29,7 @@ from .material_optics import (
     ModeCutoffError,
     he11_index_gradient,
 )
-from .phasematch import solve_phasematch
+from .phasematch import ridge_slopes, solve_phasematch
 
 __all__ = [
     "PhasematchMeasurement",
@@ -172,14 +171,14 @@ class _Model:
             self.profile = DispersionProfile.from_geometry(
                 self.geometry, n_points=_FIT_PROFILE_POINTS
             )
-            fiber = FiberSpec(
+            self.fiber = FiberSpec(
                 fast_axis=self.geometry,
                 slow_axis=self.geometry,
                 gamma=0.0,
                 length=1.0,
                 birefringence_override=birefringence,
             )
-            self.points = solve_phasematch(pumps, fiber, peak_power, profile=self.profile)
+            self.points = solve_phasematch(pumps, self.fiber, peak_power, profile=self.profile)
         except (ModeCutoffError, DomainError):
             self.profile, self.points = None, [None] * len(measurements)
         residuals, self.penalized = [], 0
@@ -209,26 +208,25 @@ class _Model:
         """Jacobian of the residuals in x.
 
         Each model sideband solves dk(w_s; x) = 0, so by the implicit function
-        theorem dw_s/dx = -(2 k_x(w_p) - k_x(w_s) - k_x(w_i)) / (k'(w_i) - k'(w_s))
-        and dw_i/dx = -dw_s/dx, where k' is the profile's inverse group velocity
-        and k_x is the spline, through the profile's own frequencies, of
-        (w/c) dn_eff/dx from ``he11_index_gradient``.  A residual row is
+        theorem dw_s/dx = -(2 k_x(w_p) - k_x(w_s) - k_x(w_i)) / (slope_s - slope_i)
+        and dw_i/dx = -dw_s/dx, with the slopes of `ridge_slopes` on the
+        model profile and k_x = (w/c) dn_eff/dx from ``he11_index_gradient``
+        at the pump and sideband frequencies themselves (n_eff read off the
+        profile), so no spline of the gradient is built.  A residual row is
         -lambda^2/(2 pi c) dw/dx / sigma; a penalized row is zero.
         """
         found = [r for r, point in enumerate(self.points) if point is not None]
         d_omega_s = np.zeros((len(self.points), 2))
         if found:
-            omegas = self.profile.omegas
-            dn = he11_index_gradient(_TWO_PI_C / omegas, self.geometry, self.profile.n_eff)
-            dn[:, 0] *= 1e-6  # x[0] is in um
-            k_x = make_interp_spline(omegas, dn * (omegas / C_LIGHT)[:, None], k=_SPLINE_ORDER)
-            omega_p = _TWO_PI_C / np.array([self.measurements[r].pump_wavelength for r in found])
-            omega_s = _TWO_PI_C / np.array([self.points[r].signal_wavelength for r in found])
-            omega_i = 2.0 * omega_p - omega_s
-            slope = inverse_group_velocity(omega_i, self.profile) - inverse_group_velocity(
-                omega_s, self.profile
+            points = [self.points[r] for r in found]
+            *omegas, slope_s, slope_i = ridge_slopes(points, self.fiber, self.profile)
+            omegas = np.concatenate(omegas)
+            dn = he11_index_gradient(
+                _TWO_PI_C / omegas, self.geometry, self.profile.index_at(omegas)
             )
-            d_omega_s[found] = -(2.0 * k_x(omega_p) - k_x(omega_s) - k_x(omega_i)) / slope[:, None]
+            dn[:, 0] *= 1e-6  # x[0] is in um
+            k_p, k_s, k_i = np.split(dn * (omegas / C_LIGHT)[:, None], 3)
+            d_omega_s[found] = -(2.0 * k_p - k_s - k_i) / (slope_s - slope_i)[:, None]
         return np.array(
             [
                 np.zeros(2) if model is None else -sign * model**2 / _TWO_PI_C * d_omega_s[r] / sigma

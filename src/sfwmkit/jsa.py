@@ -24,10 +24,10 @@ import numpy as np
 from scipy.special import erf
 
 from .constants import C_LIGHT
-from .dispersion import Axis, axis_profile, birefringence, inverse_group_velocity
+from .dispersion import Axis, axis_profile
 from .errors import GridError
 from .material_optics import FiberSpec
-from .phasematch import PumpSpec, delta_k, resolve_peak_power, solve_phasematch
+from .phasematch import PumpSpec, delta_k, resolve_peak_power, ridge_slopes, solve_phasematch
 
 __all__ = [
     "SpectralGrid",
@@ -188,18 +188,8 @@ def pump_function(omega_sum, pump: PumpSpec):
 
 def phasematch_function(omega_s, omega_i, fiber: FiberSpec, peak_power=0.0):
     """sinc(dk L / 2) exp(i dk L / 2): the phasematch factor with its propagation phase."""
-    profile = axis_profile(fiber, Axis.FAST)
     omega_p = 0.5 * (np.asarray(omega_s, dtype=float) + np.asarray(omega_i, dtype=float))
-    dn = birefringence(2.0 * np.pi * C_LIGHT / float(np.mean(omega_p)), fiber)
-    arg = 0.5 * fiber.length * delta_k(
-        omega_p,
-        omega_s,
-        omega_i,
-        fiber,
-        peak_power,
-        profile=profile,
-        birefringence_value=dn,
-    )
+    arg = 0.5 * fiber.length * delta_k(omega_p, omega_s, omega_i, fiber, peak_power)
     return np.sinc(arg / np.pi) * np.exp(1j * arg)
 
 
@@ -208,30 +198,23 @@ def _ridge(pump: PumpSpec, fiber: FiberSpec):
     """Phasematch ridge across the pump band, which does not depend on the length.
 
     Solves `_RIDGE_SAMPLES` pumps spanning the pump support in one
-    `solve_phasematch` call; returns read-only arrays (omega_s, omega_i,
-    slope_s, slope_i) of the phasematched pairs and their dk slopes
-    d(dk)/d(omega) at fixed pump, at the pump's peak power.  Memoized, so the purity gate's grids at
-    n and 2n and every length of a scan share one ridge: callers pass the
-    fiber with its length set to 1 m.
+    `solve_phasematch` call, at the pump's peak power, and returns the
+    read-only arrays (omega_s, omega_i, slope_s, slope_i) of `ridge_slopes`
+    at the phasematched pairs, with dn taken at each pair's own pump.
+    Memoized, so the purity gate's grids at n and 2n and every length of a
+    scan share one ridge: callers pass the fiber with its length set to 1 m.
     """
-    profile = axis_profile(fiber, Axis.FAST)
-    dn = birefringence(pump.center_wavelength, fiber)
     e_lo, e_hi = _pump_field_support(pump)
     omega_p = np.linspace(e_lo, e_hi, _RIDGE_SAMPLES)
     points = solve_phasematch(
         2.0 * np.pi * C_LIGHT / omega_p, fiber, resolve_peak_power(pump)
     )
-    found = [k for k, point in enumerate(points) if point is not None]
+    found = [point for point in points if point is not None]
     if not found:
         raise GridError(
             "no phasematched ridge anywhere in the pump band; cannot place grid"
         )
-    omega_s = 2.0 * np.pi * C_LIGHT / np.array([points[k].signal_wavelength for k in found])
-    omega_i = 2.0 * np.pi * C_LIGHT / np.array([points[k].idler_wavelength for k in found])
-    slowness_p = inverse_group_velocity(omega_p[found], profile) + dn / C_LIGHT
-    slope_s = slowness_p - inverse_group_velocity(omega_s, profile)
-    slope_i = slowness_p - inverse_group_velocity(omega_i, profile)
-    ridge = (omega_s, omega_i, slope_s, slope_i)
+    ridge = ridge_slopes(found, fiber)[1:]
     for array in ridge:
         array.setflags(write=False)
     return ridge

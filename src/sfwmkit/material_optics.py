@@ -422,8 +422,8 @@ def he11_index_gradient(wavelengths, geometry, n_eff):
     Implicit differentiation of the root behind ``he11_effective_index_grid``
     (`n_eff` are its values at `wavelengths`): with F = _he11_char, the root
     moves with the core radius a = d/2 and the FSM cladding index (solved
-    again here) as dn_eff = -(F_a da + F_nclad dn_clad)/F_n.  Returns an
-    array of shape (N, 2).
+    again here, at just the wavelengths asked for) as
+    dn_eff = -(F_a da + F_nclad dn_clad)/F_n.  Returns an array of shape (N, 2).
     """
     wl = np.atleast_1d(np.asarray(wavelengths, dtype=float))
     n_clad, dn_clad = _fsm_index_gradient(wl, geometry)

@@ -15,7 +15,9 @@ solve_phasematch takes one pump or an array of them: one dk scan over all
 pumps brackets each sideband, and one vectorised ``chandrupatla`` call
 refines every bracket.  Tuning curves, the adaptive grid's ridge, the
 geometry fit's sidebands and the group-velocity-matched pump search each
-solve their pumps in one call.
+solve their pumps in one call.  ridge_slopes is the one place that computes
+the dk slopes at solved points: the adaptive grid's ridge, the GVM search,
+the geometry fit's Jacobian and figure 1a all read them from it.
 """
 
 import math
@@ -46,6 +48,7 @@ __all__ = [
     "delta_k",
     "solve_phasematch",
     "phasematch_curve",
+    "ridge_slopes",
     "gvm_pump_wavelength",
 ]
 
@@ -271,46 +274,59 @@ def phasematch_curve(pump_range, n_points, fiber: FiberSpec, peak_power=0.0):
     return [point for point in solved if point is not None]
 
 
-def _gvm_mismatch(pumps, profile, fiber, peak_power):
-    """Group-velocity mismatch at an array of pumps; its root is the design pump.
+def ridge_slopes(points, fiber: FiberSpec, profile=None):
+    """Frequencies and dk slopes of a list of PhasematchPoints (empty arrays if empty).
 
-    Stationarity of the idler wavelength against pump tuning requires the
-    signal group slowness to match the pump's *including* the walk-off term:
-    g = 1/vg(w_s) - 1/vg(w_p) - dn/c, with dn taken at each pump (with
-    dn = 0 this reduces to plain group-velocity matching).  NaN where a pump
-    has no phasematch.
+    Returns arrays (omega_p, omega_s, omega_i, slope_s, slope_i) with
+    slope_x = k'(w_p) + dn/c - k'(w_x): k' on the profile (by default the
+    fiber's fast-axis profile) and dn at each point's own pump, as
+    `solve_phasematch` solved it.  slope_s = d(dk)/d(w_s) at fixed w_i and
+    slope_i = d(dk)/d(w_i) at fixed w_s, so at fixed pump d(dk)/d(w_s) =
+    slope_s - slope_i, along the ridge dw_i/dw_s = -slope_s/slope_i, and the
+    group-velocity-matched pump is where slope_s = 0.
+    """
+    if profile is None:
+        profile = axis_profile(fiber, Axis.FAST)
+    lam = np.reshape(
+        [(p.pump_wavelength, p.signal_wavelength, p.idler_wavelength) for p in points], (-1, 3)
+    ).T
+    omega_p, omega_s, omega_i = 2.0 * np.pi * C_LIGHT / lam
+    slowness_p = inverse_group_velocity(omega_p, profile) + birefringence(lam[0], fiber) / C_LIGHT
+    slope_s = slowness_p - inverse_group_velocity(omega_s, profile)
+    slope_i = slowness_p - inverse_group_velocity(omega_i, profile)
+    return omega_p, omega_s, omega_i, slope_s, slope_i
+
+
+def _gvm_mismatch(pumps, fiber, peak_power):
+    """slope_s of `ridge_slopes` at an array of pumps, NaN where one has no phasematch.
+
+    Its root is the design pump, where the signal group slowness matches the
+    pump's *including* the walk-off term (with dn = 0, plain group-velocity
+    matching).
     """
     points = solve_phasematch(pumps, fiber, peak_power)
     found = np.array([point is not None for point in points])
-    omega_p = 2.0 * np.pi * C_LIGHT / pumps[found]
-    omega_s = 2.0 * np.pi * C_LIGHT / np.array(
-        [point.signal_wavelength for point in points if point is not None]
-    )
-    dn = np.broadcast_to(birefringence(pumps, fiber), pumps.shape)[found]
     g = np.full(pumps.shape, np.nan)
-    g[found] = (
-        inverse_group_velocity(omega_s, profile)
-        - inverse_group_velocity(omega_p, profile)
-        - dn / C_LIGHT
-    )
+    g[found] = ridge_slopes([point for point in points if point is not None], fiber)[3]
     return g
 
 
 def gvm_pump_wavelength(
     fiber: FiberSpec, search_range=(770e-9, 800e-9), peak_power=0.0
 ):
-    """Pump wavelength [m] where the idler becomes stationary under pump tuning.
+    """Pump wavelength [m] where slope_s of `ridge_slopes` vanishes.
 
-    Scans the signal/pump group-slowness mismatch (walk-off corrected, with
-    the birefringence taken at each pump) at 16 pumps over the search range
-    in one `solve_phasematch` call, then refines the first sign change with
-    `chandrupatla` to 1e-12 m.  Raises NoGroupVelocityMatchError when the
-    mismatch does not change sign or the root does not converge.
+    There the joint spectrum's ridge runs along the signal axis.  With a
+    pump-independent birefringence the idler is also stationary under pump
+    tuning there; a pump-dependent dn (no override) moves that point away.
+    Scans slope_s (walk-off corrected, dn at each pump) at 16 pumps over the
+    search range in one `solve_phasematch` call, then refines the first sign
+    change with `chandrupatla` to 1e-12 m.  Raises NoGroupVelocityMatchError
+    when slope_s does not change sign or the root does not converge.
     """
-    profile = axis_profile(fiber, Axis.FAST)
     lam_lo, lam_hi = search_range
     grid = np.linspace(lam_lo, lam_hi, 16)
-    values = _gvm_mismatch(grid, profile, fiber, peak_power)
+    values = _gvm_mismatch(grid, fiber, peak_power)
     flips = np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
     if len(flips) == 0:
         raise NoGroupVelocityMatchError(
@@ -319,7 +335,7 @@ def gvm_pump_wavelength(
         )
     i = flips[0]
     root, ok = chandrupatla(
-        lambda pumps: _gvm_mismatch(pumps, profile, fiber, peak_power),
+        lambda pumps: _gvm_mismatch(pumps, fiber, peak_power),
         grid[i],
         grid[i + 1],
         xatol=1e-12,

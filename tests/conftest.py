@@ -29,6 +29,13 @@ def fiber_40cm():
 
 
 @pytest.fixture(scope="session")
+def fiber_no_override(fiber_40cm):
+    # The paper axes swapped and without an override: dn comes from the LP01
+    # model and varies with the pump (-4.9e-6 at 770 nm, -7.9e-6 at 800 nm).
+    return FiberSpec(fiber_40cm.slow_axis, fiber_40cm.fast_axis, 99.0, 0.4)
+
+
+@pytest.fixture(scope="session")
 def fiber_1m(fiber_40cm):
     import dataclasses
 

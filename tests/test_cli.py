@@ -410,6 +410,31 @@ class TestSubcommands:
         assert labels <= {"correlated", "anticorrelated"}
         assert len(labels) == 2  # both regimes occur across the tuning range
 
+    def test_fig1a_label_flips_at_gvm_pump(self, capsys):
+        # The ridge tilt changes sign where slope_s does, at the
+        # group-velocity-matched pump, and nowhere else in 700-1000 nm.
+        code, out, _ = _run(["figure", "--config", "paper40cm.json", "--id", "fig1a"], capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        flips = [k for k in range(len(rows) - 1) if rows[k][-1] != rows[k + 1][-1]]
+        assert len(flips) == 1
+        lam0 = gvm_pump_wavelength(cli.load_config("paper40cm.json").fiber) * 1e9
+        assert float(rows[flips[0]][0]) < lam0 < float(rows[flips[0] + 1][0])
+
+    def test_fig1a_without_phasematch_prints_header(self, tmp_path, capsys):
+        # A 1.0 um / fill 0.3 core phasematches no pump in 700-1000 nm.
+        document = json.loads(
+            importlib.resources.files("sfwmkit.presets").joinpath("paper40cm.json").read_text()
+        )
+        axis = {"core_diameter_um": 1.0, "air_filling_fraction": 0.3}
+        document["fiber"].update(fast_axis=axis, slow_axis=axis)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        with pytest.warns(UserWarning, match="no phasematch for 301 of 301"):
+            code, out, _ = _run(["figure", "--config", str(path), "--id", "fig1a"], capsys)
+        assert code == 0
+        assert out == "lambda_p_nm,lambda_s_nm,lambda_i_nm,correlation\n"
+
 
 class TestDeterminism:
     def test_byte_identical_repeat(self, config_path, capsys):

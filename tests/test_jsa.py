@@ -10,6 +10,7 @@ from sfwmkit.constants import C_LIGHT
 from sfwmkit.errors import GridError
 from sfwmkit.phasematch import PumpSpec
 from purity_reference import reference_purity
+from slope_reference import central_slopes
 
 
 def _normalized_jsa(amplitude, grid):
@@ -274,6 +275,16 @@ class TestRidge:
         jsamod.adaptive_grid(pump, fiber_40cm, 512, 512)
         jsamod.purity_vs_length(pump, fiber_40cm, [0.4, 3.0], n_points=64)
         assert len(solves) == 1
+
+    @pytest.mark.parametrize("name", ["fiber_40cm", "fiber_no_override"])
+    def test_slopes_match_central_difference(self, pump_40cm, name, request):
+        # Without an override dn varies across the pump band; the ridge takes
+        # it at each ridge pump, as the solver does.
+        fiber = dataclasses.replace(request.getfixturevalue(name), length=1.0)
+        omega_s, omega_i, slope_s, slope_i = jsamod._ridge(pump_40cm, fiber)
+        numeric_s, numeric_i = central_slopes(omega_s, omega_i, fiber)
+        assert np.abs(slope_s - numeric_s).max() <= 1e-5 * np.abs(numeric_s).max()
+        assert np.abs(slope_i - numeric_i).max() <= 1e-5 * np.abs(numeric_i).max()
 
     def test_grid_independent_of_cache_state(self, pump_40cm, fiber_40cm):
         ridge = jsamod._ridge(pump_40cm, dataclasses.replace(fiber_40cm, length=1.0))

@@ -8,6 +8,7 @@ from sfwmkit.constants import C_LIGHT
 from sfwmkit.dispersion import Axis, axis_profile, birefringence, inverse_group_velocity
 from sfwmkit.errors import ConfigError, NoGroupVelocityMatchError, NoPhasematchError
 from sfwmkit.material_optics import FiberAxisGeometry, FiberSpec
+from slope_reference import central_slopes
 
 
 class TestPumpSpec:
@@ -221,6 +222,27 @@ class TestGvmPumpWavelength:
         base = pm.gvm_pump_wavelength(fiber_40cm)
         shifted = pm.gvm_pump_wavelength(fiber_40cm, peak_power=500.0)
         assert shifted != base
+
+
+class TestRidgeSlopes:
+    @pytest.mark.parametrize("name", ["fiber_40cm", "fiber_no_override"])
+    def test_matches_central_difference(self, name, request):
+        fiber = request.getfixturevalue(name)
+        points = pm.phasematch_curve((770e-9, 800e-9), 7, fiber)
+        omega_p, omega_s, omega_i, slope_s, slope_i = pm.ridge_slopes(points, fiber)
+        assert np.allclose(omega_s + omega_i, 2.0 * omega_p, rtol=1e-15, atol=0.0)
+        numeric_s, numeric_i = central_slopes(omega_s, omega_i, fiber)
+        assert np.abs(slope_s - numeric_s).max() <= 1e-5 * np.abs(numeric_s).max()
+        assert np.abs(slope_i - numeric_i).max() <= 1e-5 * np.abs(numeric_i).max()
+
+    def test_signal_slope_changes_sign_at_gvm_pump(self, fiber_40cm):
+        lam0 = pm.gvm_pump_wavelength(fiber_40cm)
+        points = pm.solve_phasematch(lam0 + np.array([-1e-11, 1e-11]), fiber_40cm)
+        *_, slope_s, _ = pm.ridge_slopes(points, fiber_40cm)
+        assert slope_s[0] * slope_s[1] < 0
+
+    def test_empty_list_gives_empty_arrays(self, fiber_40cm):
+        assert all(array.shape == (0,) for array in pm.ridge_slopes([], fiber_40cm))
 
 
 class TestPhasematchPoint:

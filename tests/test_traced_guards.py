@@ -1,0 +1,30 @@
+"""Traced benchmark runs of the workloads that build dispersion profiles.
+
+Only a traced run (``--trace 1``) checks the workload guards: a
+``design-sweep`` op builds exactly one 2048-point profile and a
+``fit-analysis`` op only 192-point ones, every traced name must exist to be
+wrapped, and the first traced ops must give the same output digests as an
+untraced replay.  The benchmark's own self-tests trace only
+``purity-eval``.  About 3 s per workload.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("workload", ["design-sweep", "fit-analysis"])
+def test_traced_run_passes_guards(workload):
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload]
+    done = subprocess.run(
+        argv + ["--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "guards: pass" in done.stdout
+    assert json.loads(done.stdout.strip().splitlines()[-1])["correct"] is True
