@@ -355,7 +355,7 @@ def _cmd_purity(config, args):
             "refined_purity": refined.purity,
             "grid_converged": bool(drift < 1e-3),
             # Rounded to the 1e-12 resolution of the printed purities, so the
-            # last-bit SVD rounding of either purity does not show.
+            # last-bit rounding of either Schmidt spectrum does not show.
             "purity_drift": round(drift, 12),
         }
     )

@@ -6,8 +6,9 @@ The two-photon state emitted by a pulsed SFWM source has amplitude
 
 where E is the self-convolution of the (filtered) pump field and dk the phase
 mismatch at w_p = (w_s + w_i) / 2.  The spectral purity of a heralded photon
-is the inverse Schmidt number of f, obtained here from an SVD of the sampled
-amplitude on a uniform rectangular grid.
+is the inverse Schmidt number of f.  The Schmidt coefficients are the
+eigenvalues of the smaller Hermitian Gram matrix of the amplitude sampled on a
+uniform rectangular grid (its squared singular values).
 
 Grid placement matters enormously for long fibers, where the sinc ridge is
 orders of magnitude narrower than the pump envelope: grids are therefore
@@ -21,6 +22,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh
+from scipy.linalg.blas import zherk
 from scipy.special import erf
 
 from .constants import C_LIGHT
@@ -119,26 +122,6 @@ class SchmidtResult:
             raise ValueError(f"Schmidt number {self.schmidt_number} < 1")
 
 
-def _pump_field_support(pump: PumpSpec):
-    """(omega_lo, omega_hi) support of the filtered pump field [rad/s]."""
-    lam_c = pump.center_wavelength
-    if pump.filter_width is not None:
-        return (
-            2.0 * np.pi * C_LIGHT / (lam_c + 0.5 * pump.filter_width),
-            2.0 * np.pi * C_LIGHT / (lam_c - 0.5 * pump.filter_width),
-        )
-    # Unfiltered: truncate the Gaussian amplitude at +-6 standard deviations.
-    sigma_amp = _pump_sigma_omega(pump)
-    omega_c = pump.center_omega
-    return omega_c - 6.0 * sigma_amp, omega_c + 6.0 * sigma_amp
-
-
-def _pump_sigma_omega(pump: PumpSpec):
-    """Standard deviation of the pump *amplitude* Gaussian in omega [rad/s]."""
-    fwhm_omega = 2.0 * np.pi * C_LIGHT * pump.gaussian_fwhm / pump.center_wavelength**2
-    return fwhm_omega / (2.0 * np.sqrt(np.log(2.0)))
-
-
 def pump_amplitude(omega, pump: PumpSpec):
     """Filtered pump field amplitude at omega (flat spectral phase).
 
@@ -148,7 +131,7 @@ def pump_amplitude(omega, pump: PumpSpec):
     (peak value 1 for an unfiltered pump).
     """
     om = np.asarray(omega, dtype=float)
-    sigma = _pump_sigma_omega(pump)
+    sigma = pump.sigma_omega
     value = np.exp(-((om - pump.center_omega) ** 2) / (2.0 * sigma**2))
     if pump.filter_width is not None:
         lam = 2.0 * np.pi * C_LIGHT / om
@@ -162,35 +145,42 @@ def pump_function(omega_sum, pump: PumpSpec):
 
     This is the two-pump-photon spectral weight entering the joint amplitude
     at w+ = w_s + w_i; unnormalized.  With A a Gaussian of amplitude width
-    sigma about w_c on the support [lo, hi], the integrand is supported on
-    the overlap [a, b] of the two windows, a = max(lo, w+ - hi) and
-    b = min(hi, w+ - lo), and integrates in closed form to
+    sigma about w_c on the support [lo, hi] (`PumpSpec.field_support`), the
+    integrand is supported on the overlap of the two windows, which is
+    symmetric about w+/2 with half-width
 
-        E(w+) = exp(-(w+ - 2 w_c)^2 / (4 sigma^2)) * (sigma sqrt(pi) / 2)
-                * [erf((b - w+/2) / sigma) - erf((a - w+/2) / sigma)],
+        h = max(0, min(w+/2 - lo, hi - w+/2)),
 
-    which is 0 where the windows do not overlap (b <= a).
+    and integrates in closed form to
+
+        E(w+) = exp(-(w+ - 2 w_c)^2 / (4 sigma^2)) * sigma sqrt(pi) * erf(h / sigma),
+
+    which is exactly 0 where the windows do not overlap (h = 0).
     """
-    lo, hi = _pump_field_support(pump)
-    sigma = _pump_sigma_omega(pump)
+    lo, hi = pump.field_support
+    sigma = pump.sigma_omega
     om = np.asarray(omega_sum, dtype=float)
-    a = np.maximum(lo, om - hi)
-    b = np.minimum(hi, om - lo)
-    value = np.where(
-        b > a,
+    half = 0.5 * om
+    h = np.maximum(0.0, np.minimum(half - lo, hi - half))
+    value = (
         np.exp(-((om - 2.0 * pump.center_omega) ** 2) / (4.0 * sigma**2))
-        * (0.5 * sigma * np.sqrt(np.pi))
-        * (erf((b - 0.5 * om) / sigma) - erf((a - 0.5 * om) / sigma)),
-        0.0,
+        * (sigma * np.sqrt(np.pi))
+        * erf(h / sigma)
     )
     return float(value) if np.ndim(omega_sum) == 0 else value
 
 
 def phasematch_function(omega_s, omega_i, fiber: FiberSpec, peak_power=0.0):
-    """sinc(dk L / 2) exp(i dk L / 2): the phasematch factor with its propagation phase."""
+    """sinc(dk L / 2) exp(i dk L / 2): the phasematch factor with its propagation phase.
+
+    With a = dk L / 2 this is (sin a / a) cos a + i (sin a / a) sin a, and 1
+    where a = 0.
+    """
     omega_p = 0.5 * (np.asarray(omega_s, dtype=float) + np.asarray(omega_i, dtype=float))
-    arg = 0.5 * fiber.length * delta_k(omega_p, omega_s, omega_i, fiber, peak_power)
-    return np.sinc(arg / np.pi) * np.exp(1j * arg)
+    arg = np.asarray(0.5 * fiber.length * delta_k(omega_p, omega_s, omega_i, fiber, peak_power))
+    sin = np.sin(arg)
+    ratio = np.divide(sin, arg, out=np.ones_like(arg), where=arg != 0)
+    return ratio * np.cos(arg) + 1j * (ratio * sin)
 
 
 @functools.lru_cache(maxsize=32)
@@ -204,7 +194,7 @@ def _ridge(pump: PumpSpec, fiber: FiberSpec):
     Memoized, so the purity gate's grids at n and 2n and every length of a
     scan share one ridge: callers pass the fiber with its length set to 1 m.
     """
-    e_lo, e_hi = _pump_field_support(pump)
+    e_lo, e_hi = pump.field_support
     omega_p = np.linspace(e_lo, e_hi, _RIDGE_SAMPLES)
     points = solve_phasematch(
         2.0 * np.pi * C_LIGHT / omega_p, fiber, resolve_peak_power(pump)
@@ -239,7 +229,7 @@ def adaptive_grid(pump: PumpSpec, fiber: FiberSpec, n_signal=256, n_idler=256, s
     i_lo, i_hi = float(np.min(omega_i - reach_i)), float(np.max(omega_i + reach_i))
 
     # Clip to where the pump function is nonzero: w_s + w_i in [2 e_lo, 2 e_hi].
-    e_lo, e_hi = _pump_field_support(pump)
+    e_lo, e_hi = pump.field_support
     s_lo = max(s_lo, 2.0 * e_lo - i_hi)
     s_hi = min(s_hi, 2.0 * e_hi - i_lo)
     i_lo = max(i_lo, 2.0 * e_lo - s_hi)
@@ -283,15 +273,30 @@ def build_jsa(pump: PumpSpec, fiber: FiberSpec, grid: SpectralGrid):
 
 
 def schmidt_decompose(jsa: JointSpectralAmplitude):
-    """Schmidt spectrum of the joint amplitude via singular value decomposition.
+    """Schmidt spectrum of the joint amplitude from its Hermitian Gram matrix.
 
-    The singular values s_n of the sampled amplitude give coefficients
-    lambda_n = s_n^2 dws dwi, which sum to 1 exactly by the normalization of
-    the amplitude; purity = sum lambda_n^2, Schmidt number its inverse, and
-    entanglement entropy -sum lambda_n log2 lambda_n.
+    The squared singular values s_n^2 of the sampled m x n amplitude X are
+    the eigenvalues of its smaller Gram matrix, conj(X^H X) if m >= n and
+    conj(X X^H) otherwise: min(m, n) of them.  One BLAS herk on the
+    Fortran-ordered view X^T forms one triangle of it without a copy, and a
+    divide-and-conquer Hermitian eigensolver returns its eigenvalues.  They
+    give coefficients lambda_n = s_n^2 dws dwi, which sum to 1 exactly by the
+    normalization of the amplitude; purity = sum lambda_n^2, Schmidt number
+    its inverse, and entanglement entropy -sum lambda_n log2 lambda_n.
+
+    A Gram matrix is positive semidefinite, so an eigenvalue below
+    -1e-12 times the largest is not rounding and raises ArithmeticError;
+    smaller negatives are rounding and are clipped to 0.
     """
-    singular = np.linalg.svd(jsa.amplitude, compute_uv=False)
-    lam = singular**2 * jsa.grid.signal_spacing * jsa.grid.idler_spacing
+    amp = np.asarray(jsa.amplitude, dtype=complex)
+    gram = zherk(1.0, amp.T, trans=0 if amp.shape[0] >= amp.shape[1] else 2, lower=1)
+    eigenvalues = eigvalsh(gram, lower=True, overwrite_a=True, driver="evd")[::-1]
+    if eigenvalues[-1] < -1e-12 * eigenvalues[0]:
+        raise ArithmeticError(
+            f"Gram matrix eigenvalue {eigenvalues[-1]:.3e} below -1e-12 of the "
+            f"largest {eigenvalues[0]:.3e}: not positive semidefinite"
+        )
+    lam = np.maximum(eigenvalues, 0.0) * jsa.grid.signal_spacing * jsa.grid.idler_spacing
     lam = lam / lam.sum()
     purity = float(np.sum(lam**2))
     positive = lam[lam > 0]

@@ -72,7 +72,10 @@ class PumpSpec:
     (average_power, repetition_rate, pulse_fwhm) triple, or neither (peak
     power then defaults to zero).  filter_width is the full width of a
     rectangular spectral filter applied after the pump laser; None means
-    unfiltered.
+    unfiltered.  The field's support (`field_support`) must lie at positive
+    frequency: a filter_width of at least twice center_wavelength, or an
+    unfiltered Gaussian whose +-6 sigma window reaches zero frequency, is
+    rejected.
     """
 
     center_wavelength: float
@@ -92,6 +95,16 @@ class PumpSpec:
             raise ConfigError("pump center wavelength and FWHM must be positive")
         if self.filter_width is not None and self.filter_width <= 0:
             raise ConfigError("filter_width must be positive when given")
+        if self.filter_width is not None and self.filter_width >= 2.0 * self.center_wavelength:
+            raise ConfigError(
+                "filter_width must be less than twice center_wavelength, "
+                "or the filter window reaches zero wavelength"
+            )
+        if self.field_support[0] <= 0:
+            raise ConfigError(
+                "gaussian_fwhm is too wide for an unfiltered pump: its +-6 sigma "
+                "window reaches zero frequency; give a filter_width"
+            )
         triple = (self.average_power, self.repetition_rate, self.pulse_fwhm)
         given = [x is not None for x in triple]
         if any(given) and not all(given):
@@ -110,6 +123,28 @@ class PumpSpec:
     @property
     def center_omega(self):
         return 2.0 * np.pi * C_LIGHT / self.center_wavelength
+
+    @property
+    def sigma_omega(self):
+        """Standard deviation of the pump *amplitude* Gaussian in omega [rad/s]."""
+        fwhm_omega = 2.0 * np.pi * C_LIGHT * self.gaussian_fwhm / self.center_wavelength**2
+        return fwhm_omega / (2.0 * np.sqrt(np.log(2.0)))
+
+    @property
+    def field_support(self):
+        """(omega_lo, omega_hi) support of the filtered pump field [rad/s].
+
+        The filter window in wavelength, or, unfiltered, the Gaussian
+        amplitude truncated at +-6 standard deviations.
+        """
+        lam_c = self.center_wavelength
+        if self.filter_width is not None:
+            return (
+                2.0 * np.pi * C_LIGHT / (lam_c + 0.5 * self.filter_width),
+                2.0 * np.pi * C_LIGHT / (lam_c - 0.5 * self.filter_width),
+            )
+        reach = 6.0 * self.sigma_omega
+        return self.center_omega - reach, self.center_omega + reach
 
 
 @dataclass(frozen=True)

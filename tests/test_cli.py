@@ -270,6 +270,32 @@ class TestExitCodes:
         assert code == 1
         assert message in err
 
+    @pytest.mark.parametrize(
+        "pump, message",
+        [
+            ({"filter_width_nm": 1566.0}, "filter_width must be less than twice"),
+            ({"filter_width_nm": 2000.0}, "filter_width must be less than twice"),
+            ({"gaussian_fwhm_nm": 500.0, "filter_width_nm": None}, "reaches zero frequency"),
+        ],
+        ids=["filter-twice-center", "filter-beyond", "unfiltered-too-wide"],
+    )
+    def test_pump_reaching_zero_frequency_exits_one(self, tmp_path, capsys, pump, message):
+        # A filter window of twice the centre wavelength, or an unfiltered
+        # +-6 sigma window, would reach omega <= 0: rejected at load.
+        document = _paper_document()
+        for key, value in pump.items():
+            if value is None:
+                del document["pump"][key]
+            else:
+                document["pump"][key] = value
+        path = tmp_path / "pump.json"
+        path.write_text(json.dumps(document))
+        code, out, err = _run(["purity", "--config", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: pump: ")
+        assert message in err
+
     def test_program_errors_propagate(self, config_path, monkeypatch):
         # A bug is not bad input: it raises with its traceback, not exit 1.
         def broken(config, args):
@@ -456,7 +482,7 @@ class TestDeterminism:
     def test_purity_identical_across_blas_threads(self, command):
         # The purity drift is a difference of two ~0.887 purities; it is
         # printed only to their 1e-12 resolution, so the last-bit rounding
-        # of a threaded SVD does not show.
+        # of a threaded Gram product or eigensolver does not show.
         src = str(Path(cli.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):

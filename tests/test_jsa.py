@@ -70,7 +70,7 @@ class TestPumpFunction:
         # Unfiltered Gaussian: exact self-convolution sigma*sqrt(pi)*Gaussian
         # with doubled variance.
         pump = PumpSpec(783e-9, 20e-9)
-        sigma = jsamod._pump_sigma_omega(pump)
+        sigma = pump.sigma_omega
         om0 = pump.center_omega
         probes = 2 * om0 + sigma * np.array([0.0, 0.7, -1.3, 2.1, -2.8])
         numeric = jsamod.pump_function(probes, pump)
@@ -99,6 +99,36 @@ class TestPumpFunction:
         closed = jsamod.pump_function(probes, pump)
         assert np.abs(closed - reference).max() < 1e-4 * reference.max()
 
+    @pytest.mark.parametrize("filter_nm", [8.0, None], ids=["filtered", "unfiltered"])
+    def test_matches_trapezoid_over_the_overlap(self, filter_nm):
+        # Trapezoid rule for int A(w) A(w+ - w) dw over the overlap of the two
+        # field supports, where both factors are the smooth Gaussian of
+        # intensity FWHM 20 nm (the window edges are the limits).
+        pump = PumpSpec(783e-9, 20e-9, filter_width=None if filter_nm is None else filter_nm * 1e-9)
+        sigma = 2 * np.pi * C_LIGHT * 20e-9 / 783e-9**2 / (2 * np.sqrt(np.log(2)))
+
+        def field(w):
+            return np.exp(-((w - pump.center_omega) ** 2) / (2 * sigma**2))
+
+        lo, hi = pump.field_support
+        for fraction in (0.1, 0.3, 0.5, 0.62, 0.9):
+            om = 2 * lo + fraction * 2 * (hi - lo)
+            x = np.linspace(max(lo, om - hi), min(hi, om - lo), 20_001)
+            reference = np.trapezoid(field(x) * field(om - x), x)
+            assert jsamod.pump_function(om, pump) == pytest.approx(reference, rel=1e-9)
+
+    @pytest.mark.parametrize("filter_nm", [8.0, None], ids=["filtered", "unfiltered"])
+    def test_exactly_zero_outside_twice_the_support(self, filter_nm):
+        pump = PumpSpec(783e-9, 20e-9, filter_width=None if filter_nm is None else filter_nm * 1e-9)
+        lo, hi = pump.field_support
+        outside = np.array([0.5 * lo, 2 * lo - 1e9, 2 * lo, 2 * hi, 2 * hi + 1e9, 4 * hi])
+        assert np.all(jsamod.pump_function(outside, pump) == 0.0)
+        assert np.all(jsamod.pump_function(np.array([2 * lo + 1e9, 2 * hi - 1e9]), pump) > 0)
+
+    def test_scalar_gives_float(self):
+        pump = PumpSpec(783e-9, 20e-9, filter_width=8e-9)
+        assert type(jsamod.pump_function(2 * pump.center_omega, pump)) is float
+
 
 class TestPhasematchFunction:
     def test_unity_on_ridge(self, fiber_40cm):
@@ -109,6 +139,14 @@ class TestPhasematchFunction:
         om_i = 2 * np.pi * C_LIGHT / point.idler_wavelength
         value = jsamod.phasematch_function(om_s, om_i, fiber_40cm)
         assert abs(value) == pytest.approx(1.0, abs=1e-6)
+
+    def test_one_at_zero_mismatch_and_sinc_elsewhere(self, fiber_40cm, monkeypatch):
+        dk = np.linspace(-300.0, 300.0, 601)  # holds dk = 0 exactly
+        monkeypatch.setattr(jsamod, "delta_k", lambda *args: dk)
+        value = jsamod.phasematch_function(0.0, 0.0, fiber_40cm)
+        assert value[300] == 1 + 0j
+        arg = 0.5 * fiber_40cm.length * dk
+        assert np.abs(value - np.sinc(arg / np.pi) * np.exp(1j * arg)).max() < 1e-15
 
 
 class TestBuildJsa:
@@ -172,7 +210,47 @@ class TestBuildJsa:
             jsamod.build_jsa(pump_40cm, fiber_40cm, grid=grid)
 
 
+def _chirped_double_gaussian(n_signal, n_idler):
+    # Complex and entangled, with a Schmidt spectrum falling to rounding.
+    grid = jsamod.SpectralGrid(
+        signal_omegas=np.linspace(2.6e15 - 6e13, 2.6e15 + 6e13, n_signal),
+        idler_omegas=np.linspace(2.2e15 - 6e13, 2.2e15 + 6e13, n_idler),
+    )
+    om_s, om_i = grid.meshes()
+    x, y = (om_s - 2.6e15) / 1e13, (om_i - 2.2e15) / 1e13
+    amp = np.exp(-0.5 * (x**2 + y**2) - 0.3 * x * y + 0.4j * x * y + 0.2j * x**2)
+    return _normalized_jsa(amp, grid)
+
+
 class TestSchmidt:
+    @pytest.mark.parametrize("shape", [(128, 128), (64, 200), (200, 64)])
+    def test_matches_singular_values(self, shape):
+        jsa = _chirped_double_gaussian(*shape)
+        singular = np.linalg.svd(jsa.amplitude, compute_uv=False)
+        reference = singular**2 / np.sum(singular**2)
+        result = jsamod.schmidt_decompose(jsa)
+        lam = np.array(result.coefficients)
+        assert len(lam) == min(shape)
+        assert np.all(lam >= 0)
+        assert np.all(np.diff(lam) <= 0)
+        assert np.abs(lam - reference).max() < 1e-14
+        assert result.purity == pytest.approx(np.sum(reference**2), rel=1e-13)
+
+    @pytest.mark.parametrize("smallest, raises", [(-1e-9, True), (-1e-15, False)])
+    def test_negative_gram_eigenvalue(self, monkeypatch, smallest, raises):
+        # Rounding-size negatives are clipped to 0; a larger one means the
+        # Gram matrix is not positive semidefinite, which no amplitude gives.
+        jsa = _chirped_double_gaussian(64, 64)
+        gram = np.diag(np.r_[1.0, 0.25, np.zeros(61), smallest]).astype(complex)
+        monkeypatch.setattr(jsamod, "zherk", lambda *args, **kwargs: gram)
+        if raises:
+            with pytest.raises(ArithmeticError, match="not positive semidefinite"):
+                jsamod.schmidt_decompose(jsa)
+        else:
+            result = jsamod.schmidt_decompose(jsa)
+            assert result.coefficients[:2] == (0.8, 0.2)
+            assert result.coefficients[-1] == 0.0
+
     def test_separable_purity_one(self):
         grid = _square_grid(2.6e15, 2.2e15, 4e13)
         om_s, om_i = grid.meshes()

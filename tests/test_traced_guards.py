@@ -1,11 +1,12 @@
-"""Traced benchmark runs of the workloads that build dispersion profiles.
+"""Traced benchmark runs of every listed workload.
 
 Only a traced run (``--trace 1``) checks the workload guards: a
-``design-sweep`` op builds exactly one 2048-point profile and a
-``fit-analysis`` op only 192-point ones, every traced name must exist to be
-wrapped, and the first traced ops must give the same output digests as an
-untraced replay.  The benchmark's own self-tests trace only
-``purity-eval``.  About 3 s per workload.
+``design-sweep`` op builds exactly one 2048-point profile, a
+``fit-analysis`` op only 192-point ones and a ``purity-eval`` op none, every
+traced name must exist to be wrapped, and the first traced ops must give the
+same output digests as an untraced replay.  The benchmark's own self-tests,
+which this suite does not collect, also trace ``purity-eval``.  About 3 s
+for each of the profile workloads and 4 s for ``purity-eval``.
 """
 
 import json
@@ -18,7 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["design-sweep", "fit-analysis"])
+@pytest.mark.parametrize("workload", ["design-sweep", "fit-analysis", "purity-eval"])
 def test_traced_run_passes_guards(workload):
     argv = [sys.executable, "perfbench/run.py", "--workload", workload]
     done = subprocess.run(
