@@ -34,9 +34,7 @@ from .jsa import (
     adaptive_grid,
     build_jsa,
     phasematch_function,
-    pump_amplitude,
     pump_function,
-    purity_vs_length,
     schmidt_decompose,
 )
 from .hom import (

@@ -29,7 +29,7 @@ from .dispersion import (
 from .errors import ConfigError, SfwmkitError
 from .fiber_fit import fit_geometry, load_measurements, read_csv
 from .hom import HomDataset, HomModelParams, fit_purity, simulate_counts
-from .jsa import adaptive_grid, build_jsa, schmidt_decompose, purity_vs_length
+from .jsa import adaptive_grid, build_jsa, schmidt_decompose
 from .material_optics import FiberAxisGeometry, FiberSpec
 from .phasematch import (
     PumpSpec,
@@ -286,9 +286,16 @@ def _cmd_dispersion(config, args):
     return _csv(("wavelength_nm", "axis", "n_eff", "k", "dk_domega", "d2k_domega2"), rows)
 
 
-def _phasematch_table(config, pump_range, points):
-    """Tuning curve over `pump_range` [m] as CSV in nm."""
-    curve = phasematch_curve(pump_range, points, config.fiber, resolve_peak_power(config.pump))
+def _cmd_phasematch(config, args):
+    """Tuning curve over args.range [nm] as CSV in nm."""
+    lam_lo, lam_hi = args.range
+    if not all(math.isfinite(lam) and lam > 0 for lam in args.range):
+        raise ConfigError(
+            f"--range: pump wavelengths must be finite and > 0 nm, got {lam_lo:g} {lam_hi:g}"
+        )
+    curve = phasematch_curve(
+        (lam_lo * 1e-9, lam_hi * 1e-9), args.points, config.fiber, resolve_peak_power(config.pump)
+    )
     return _csv(
         ("lambda_p_nm", "lambda_s_nm", "lambda_i_nm"),
         (
@@ -296,15 +303,6 @@ def _phasematch_table(config, pump_range, points):
             for p in curve
         ),
     )
-
-
-def _cmd_phasematch(config, args):
-    lam_lo, lam_hi = args.range
-    if not all(math.isfinite(lam) and lam > 0 for lam in args.range):
-        raise ConfigError(
-            f"--range: pump wavelengths must be finite and > 0 nm, got {lam_lo:g} {lam_hi:g}"
-        )
-    return _phasematch_table(config, (lam_lo * 1e-9, lam_hi * 1e-9), args.points)
 
 
 def _cmd_gvm(config, args):
@@ -363,16 +361,12 @@ def _cmd_purity(config, args):
 
 def _cmd_purity_scan(config, args):
     with _user_values("--lengths"):
-        for length in args.lengths:
-            dataclasses.replace(config.fiber, length=length)
-    results = purity_vs_length(
-        config.pump,
-        config.fiber,
-        args.lengths,
-        n_points=config.n_signal,
-        sidelobes=config.sidelobes,
-    )
-    return _csv(("length_m", "purity"), results)
+        fibers = [dataclasses.replace(config.fiber, length=length) for length in args.lengths]
+    rows = []
+    for length, fiber in zip(args.lengths, fibers):
+        jsa = _build_jsa_from_config(dataclasses.replace(config, fiber=fiber))
+        rows.append((length, schmidt_decompose(jsa).purity))
+    return _csv(("length_m", "purity"), rows)
 
 
 def _cmd_hom_fit(config, args):
@@ -426,19 +420,22 @@ def _cmd_hom_sim(config, args):
 
 
 def _cmd_fit_fiber(config, args):
-    measurements = load_measurements(args.data)
+    # The fit moves one axis with dn held fixed, so dn cannot come from the
+    # two axes' geometry.
     dn = config.fiber.birefringence_override
+    if dn is None:
+        raise ConfigError("fit-fiber needs fiber.birefringence_override: the fit holds dn fixed")
     result = fit_geometry(
-        measurements,
+        load_measurements(args.data),
         initial_guess=config.fiber.axis_geometry(args.axis),
-        birefringence=0.0 if dn is None else dn,
-        peak_power=resolve_peak_power(config.pump),
+        birefringence=dn,
     )
+    # The geometry to 6 significant digits: least_squares stops at xtol = 1e-6.
     return _json(
         {
             "axis": args.axis,
-            "core_diameter_um": result.geometry.core_diameter * 1e6,
-            "air_filling_fraction": result.geometry.air_filling_fraction,
+            "core_diameter_um": float(f"{result.geometry.core_diameter * 1e6:.6g}"),
+            "air_filling_fraction": float(f"{result.geometry.air_filling_fraction:.6g}"),
             "core_diameter_sigma_um": result.core_diameter_sigma * 1e6,
             "air_filling_fraction_sigma": result.filling_fraction_sigma,
             "residual_rms": result.residual_rms,
@@ -449,8 +446,8 @@ def _cmd_fit_fiber(config, args):
 
 def _cmd_figure(config, args):
     """The data behind one figure as CSV."""
-    if args.id == "fig1b":
-        return _phasematch_table(config, (765e-9, 795e-9), 31)
+    if args.id == "fig1b":  # `phasematch` with the defaults the parser sets
+        return _cmd_phasematch(config, args)
     # fig1a: the full Ti:Sapphire pump tuning range; the correlation column
     # reads the ridge tilt dw_i/dw_s = -slope_s/slope_i: dk slopes of opposite
     # signs mean frequency-correlated pairs, equal signs anticorrelated.
@@ -471,6 +468,10 @@ def _cmd_figure(config, args):
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
+
+
+# Pump range [nm] and points of `phasematch`, which `figure --id fig1b` prints.
+_PHASEMATCH_DEFAULTS = {"range": (765.0, 795.0), "points": 31}
 
 
 def _build_parser():
@@ -495,9 +496,9 @@ def _build_parser():
     p.set_defaults(func=_cmd_dispersion)
 
     p = common(sub.add_parser("phasematch", help="phasematched sidebands vs pump"))
-    p.add_argument("--range", type=float, nargs=2, default=(765.0, 795.0), metavar=("LO_NM", "HI_NM"))
-    p.add_argument("--points", type=_positive_count, default=31)
-    p.set_defaults(func=_cmd_phasematch)
+    p.add_argument("--range", type=float, nargs=2, metavar=("LO_NM", "HI_NM"))
+    p.add_argument("--points", type=_positive_count)
+    p.set_defaults(func=_cmd_phasematch, **_PHASEMATCH_DEFAULTS)
 
     p = common(sub.add_parser("gvm", help="group-velocity-matched pump wavelength"))
     p.set_defaults(func=_cmd_gvm)
@@ -536,7 +537,7 @@ def _build_parser():
 
     p = common(sub.add_parser("figure", help="emit data behind one figure"))
     p.add_argument("--id", required=True, choices=("fig1a", "fig1b"))
-    p.set_defaults(func=_cmd_figure)
+    p.set_defaults(func=_cmd_figure, **_PHASEMATCH_DEFAULTS)
 
     return parser
 

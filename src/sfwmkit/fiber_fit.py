@@ -163,7 +163,7 @@ class _Model:
     built on first access only.
     """
 
-    def __init__(self, x, measurements, birefringence, peak_power):
+    def __init__(self, x, measurements, birefringence):
         self.measurements = measurements
         self.geometry = FiberAxisGeometry(core_diameter=x[0] * 1e-6, air_filling_fraction=x[1])
         pumps = np.array([m.pump_wavelength for m in measurements])
@@ -178,7 +178,7 @@ class _Model:
                 length=1.0,
                 birefringence_override=birefringence,
             )
-            self.points = solve_phasematch(pumps, self.fiber, peak_power, profile=self.profile)
+            self.points = solve_phasematch(pumps, self.fiber, profile=self.profile)
         except (ModeCutoffError, DomainError):
             self.profile, self.points = None, [None] * len(measurements)
         residuals, self.penalized = [], 0
@@ -235,13 +235,7 @@ class _Model:
         )
 
 
-def fit_geometry(
-    measurements,
-    initial_guess=None,
-    birefringence=0.0,
-    peak_power=0.0,
-    n_starts=5,
-):
+def fit_geometry(measurements, initial_guess=None, birefringence=0.0, n_starts=5):
     """Fit (core diameter, filling fraction) of the guiding axis to the data.
 
     Bounded trust-region least squares from `n_starts` (1 to 5) deterministic
@@ -253,7 +247,9 @@ def fit_geometry(
     built only where the solver asks for it.  Parameter sigmas come
     from the inverse Gauss-Newton Hessian of that Jacobian at the solution.
     `birefringence` is the (signed) index difference assumed when solving the
-    model phasematch.
+    model phasematch.  The model fiber has gamma = 0: the fit neglects
+    self-phase modulation.  A fit whose every residual is penalized (no
+    model phasematch at any measured pump) raises FitError.
     """
     if not measurements:
         raise FitError("no measurements to fit")
@@ -270,7 +266,7 @@ def fit_geometry(
 
     def model(x):
         if not np.array_equal(memo[0], x):
-            memo[:] = x.copy(), _Model(x, measurements, birefringence, peak_power)
+            memo[:] = x.copy(), _Model(x, measurements, birefringence)
         return memo[1]
 
     x0 = np.array([initial_guess.core_diameter * 1e6, initial_guess.air_filling_fraction])
@@ -303,6 +299,11 @@ def fit_geometry(
     fit = best[1]
 
     final = model(fit.x)
+    if final.penalized == len(final.residuals):
+        raise FitError(
+            f"no model phasematch at any measured pump for the best fit "
+            f"(core {fit.x[0]:.6g} um, filling fraction {fit.x[1]:.6g})"
+        )
     try:
         cov = np.linalg.inv(final.jacobian.T @ final.jacobian)
         sigmas = np.sqrt(np.diag(cov))

@@ -36,13 +36,11 @@ __all__ = [
     "SpectralGrid",
     "JointSpectralAmplitude",
     "SchmidtResult",
-    "pump_amplitude",
     "pump_function",
     "phasematch_function",
     "adaptive_grid",
     "build_jsa",
     "schmidt_decompose",
-    "purity_vs_length",
 ]
 
 # Pumps sampled across the pump support to trace the phasematch ridge.
@@ -109,7 +107,6 @@ class SchmidtResult:
 
     coefficients: tuple  # descending, sums to 1
     purity: float  # sum lambda_n^2
-    schmidt_number: float  # 1 / purity
     entropy: float  # -sum lambda_n log2 lambda_n
 
     def __post_init__(self):
@@ -118,26 +115,10 @@ class SchmidtResult:
             raise ValueError("Schmidt coefficients must sum to 1")
         if not 0.0 < self.purity <= 1.0 + 1e-12:
             raise ValueError(f"purity {self.purity} outside (0, 1]")
-        if self.schmidt_number < 1.0 - 1e-12:
-            raise ValueError(f"Schmidt number {self.schmidt_number} < 1")
 
-
-def pump_amplitude(omega, pump: PumpSpec):
-    """Filtered pump field amplitude at omega (flat spectral phase).
-
-    Gaussian with *intensity* FWHM equal to the pump's spectral FWHM,
-    multiplied by the indicator of the rectangular filter window (a window in
-    wavelength, |lambda - lambda_c| <= filter_width / 2). Unnormalized
-    (peak value 1 for an unfiltered pump).
-    """
-    om = np.asarray(omega, dtype=float)
-    sigma = pump.sigma_omega
-    value = np.exp(-((om - pump.center_omega) ** 2) / (2.0 * sigma**2))
-    if pump.filter_width is not None:
-        lam = 2.0 * np.pi * C_LIGHT / om
-        inside = np.abs(lam - pump.center_wavelength) <= 0.5 * pump.filter_width
-        value = value * inside
-    return float(value) if np.ndim(omega) == 0 else value
+    @property
+    def schmidt_number(self):
+        return 1.0 / self.purity
 
 
 def pump_function(omega_sum, pump: PumpSpec):
@@ -304,17 +285,6 @@ def schmidt_decompose(jsa: JointSpectralAmplitude):
     return SchmidtResult(
         coefficients=tuple(float(x) for x in lam),
         purity=purity,
-        schmidt_number=1.0 / purity,
         entropy=entropy,
     )
 
-
-def purity_vs_length(pump: PumpSpec, fiber: FiberSpec, lengths, n_points=256, sidelobes=32):
-    """[(length, heralded purity)] for the same fiber cut to each length [m]."""
-    out = []
-    for length in lengths:
-        cut = dataclasses.replace(fiber, length=float(length))
-        grid = adaptive_grid(pump, cut, n_points, n_points, sidelobes)
-        jsa = build_jsa(pump, cut, grid)
-        out.append((float(length), schmidt_decompose(jsa).purity))
-    return out

@@ -1,7 +1,9 @@
+import dataclasses
 import importlib.resources
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from sfwmkit import cli
 from sfwmkit.errors import ConfigError
+from sfwmkit.jsa import adaptive_grid, build_jsa, schmidt_decompose
 from sfwmkit.material_optics import FiberAxisGeometry, FiberSpec
 from sfwmkit.phasematch import PumpSpec, gvm_pump_wavelength, resolve_peak_power
 
@@ -427,6 +430,46 @@ class TestSubcommands:
         first = lines[1].split(",")
         assert float(first[0]) == pytest.approx(765.0)
 
+    def test_figure_fig1b_is_phasematch(self, capsys):
+        # fig1b prints `phasematch` with that command's defaults, byte for byte.
+        _, expected, _ = _run(["phasematch", "--config", "paper40cm.json"], capsys)
+        code, out, _ = _run(["figure", "--config", "paper40cm.json", "--id", "fig1b"], capsys)
+        assert code == 0
+        assert out == expected
+
+    def test_purity_scan_forty_centimeter_value(self, config_path, capsys):
+        code, out, _ = _run(["purity-scan", "--config", config_path, "--lengths", "0.4"], capsys)
+        assert code == 0
+        header, row = out.splitlines()
+        assert header == "length_m,purity"
+        length, purity = map(float, row.split(","))
+        assert length == 0.4
+        assert 0.81 < purity < 0.91
+
+    def test_purity_scan_lengths_echoed_in_order(self, config_path, capsys):
+        argv = ["purity-scan", "--config", config_path, "--lengths", "0.4", "1.0"]
+        code, out, _ = _run(argv, capsys)
+        assert code == 0
+        assert [float(line.split(",")[0]) for line in out.splitlines()[1:]] == [0.4, 1.0]
+
+    def test_purity_scan_honours_both_grid_axes(self, tmp_path, capsys):
+        # Each length's spectrum is built on grid.n_signal x grid.n_idler, as
+        # `purity` and `jsa` build it, not on a square grid of n_signal.
+        document = _paper_document()
+        document["grid"] = {"n_signal": 64, "n_idler": 128}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(document))
+        argv = ["purity-scan", "--config", str(path), "--lengths", "0.4", "3.0"]
+        code, out, _ = _run(argv, capsys)
+        assert code == 0
+        config = cli.load_config(str(path))
+        expected = []
+        for length in (0.4, 3.0):
+            fiber = dataclasses.replace(config.fiber, length=length)
+            jsa = build_jsa(config.pump, fiber, adaptive_grid(config.pump, fiber, 64, 128))
+            expected.append(f"{cli._fmt(length)},{cli._fmt(schmidt_decompose(jsa).purity)}")
+        assert out.splitlines()[1:] == expected
+
     def test_fig1a_correlation_column(self, config_path, capsys):
         code, out, _ = _run(
             ["figure", "--config", config_path, "--id", "fig1a"], capsys
@@ -460,6 +503,82 @@ class TestSubcommands:
             code, out, _ = _run(["figure", "--config", str(path), "--id", "fig1a"], capsys)
         assert code == 0
         assert out == "lambda_p_nm,lambda_s_nm,lambda_i_nm,correlation\n"
+
+
+def _fit_data(tmp_path, capsys, config="paper40cm.json"):
+    """`phasematch --points 6` on `config` as a fit-fiber CSV with sigma_nm 0.05."""
+    code, out, _ = _run(["phasematch", "--config", config, "--points", "6"], capsys)
+    assert code == 0
+    path = tmp_path / "measurements.csv"
+    rows = "".join(f"{row},0.05\n" for row in out.splitlines()[1:])
+    path.write_text("lambda_p_nm,lambda_s_nm,lambda_i_nm,sigma_nm\n" + rows)
+    return str(path)
+
+
+def _write_config(tmp_path, document):
+    path = tmp_path / "fiber.json"
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
+class TestFitFiber:
+    def test_round_trip_prints_the_resolved_digits(self, tmp_path, capsys):
+        # least_squares stops at xtol = 1e-6, so the geometry is printed to 6
+        # significant digits: the preset's 1.7507 um and 0.511 exactly, where
+        # 12 digits gave 1.7506999995 and 0.510999999811.
+        data = _fit_data(tmp_path, capsys)
+        code, out, _ = _run(["fit-fiber", "--config", "paper40cm.json", "--data", data], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["core_diameter_um"] == 1.7507
+        assert payload["air_filling_fraction"] == 0.511
+        assert payload["n_penalized"] == 0
+        assert 0 < payload["core_diameter_sigma_um"] < 0.01
+        assert 0 < payload["air_filling_fraction_sigma"] < 0.01
+
+    def test_without_override_exits_one(self, tmp_path, capsys):
+        # The paper axes swapped and no override: `phasematch` takes dn from
+        # the LP01 model of both axes, which the fit cannot, as it moves one.
+        # It used to fit with dn = 0 and print an all-penalized geometry.
+        document = _paper_document()
+        fiber = document["fiber"]
+        fiber["fast_axis"], fiber["slow_axis"] = fiber["slow_axis"], fiber["fast_axis"]
+        del fiber["birefringence_override"]
+        config = _write_config(tmp_path, document)
+        data = _fit_data(tmp_path, capsys, config)
+        code, out, err = _run(["fit-fiber", "--config", config, "--data", data], capsys)
+        assert code == 1
+        assert out == ""
+        assert "fiber.birefringence_override" in err
+
+    def test_all_penalized_fit_exits_one(self, tmp_path, capsys):
+        # Sidebands of dn = -1.7e-5 fitted with dn = +1.7e-5: no geometry in
+        # the box phasematches any measured pump.
+        data = _fit_data(tmp_path, capsys)
+        document = _paper_document()
+        document["fiber"]["birefringence_override"] = 1.7e-5
+        config = _write_config(tmp_path, document)
+        code, out, err = _run(["fit-fiber", "--config", config, "--data", data], capsys)
+        assert code == 1
+        assert out == ""
+        assert "no model phasematch at any measured pump" in err
+
+
+class TestReadme:
+    def test_command_line_block_parses(self):
+        # Every `sfwmkit ...` line of README's Command line block parses, so
+        # its flags and --id choices cannot drift from the parser.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("sfwmkit ")]
+        assert len(lines) == 10
+        parser = cli._build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README line does not parse: {line}")
 
 
 class TestDeterminism:

@@ -201,7 +201,7 @@ class TestFitGeometry:
         monkeypatch.setattr(ff, "he11_index_gradient", counted_gradient)
         monkeypatch.setattr(ff, "least_squares", counted_fit)
         x = np.array([fast_geometry.core_diameter * 1e6, fast_geometry.air_filling_fraction])
-        model = ff._Model(x, rows, DN, 0.0)
+        model = ff._Model(x, rows, DN)
         assert model.penalized == 0 and gradients == []
         assert model.jacobian is model.jacobian and len(gradients) == 1
         gradients.clear()
@@ -221,6 +221,14 @@ class TestFitGeometry:
         monkeypatch.setattr(ff, "solve_phasematch", broken)
         with pytest.raises(TypeError, match="bug in the model"):
             ff.fit_geometry(rows, n_starts=1, birefringence=DN)
+
+    def test_all_penalized_fit_raises(self, fast_geometry):
+        # Sidebands of dn = -1.7e-5 fitted with dn = +1.7e-5: no geometry in
+        # the box phasematches any of the pumps, so every start ends on
+        # penalties alone (cost 6e6 and infinite sigmas if it returned).
+        rows = _synthetic_measurements(fast_geometry, np.linspace(765e-9, 795e-9, 6))
+        with pytest.raises(ff.FitError, match="no model phasematch at any measured pump"):
+            ff.fit_geometry(rows, birefringence=-DN)
 
     def test_empty_input_raises(self):
         with pytest.raises(ff.FitError):
@@ -266,14 +274,14 @@ class TestJacobian:
         )
         assume(zeros)
         rows = self._rows_near_model(x, zeros[0] + np.array([20e-9, 35e-9, 50e-9]))
-        model = ff._Model(x, rows, DN, 0.0)
+        model = ff._Model(x, rows, DN)
         residuals, penalized, jac = model.residuals, model.penalized, model.jacobian
         assume(penalized < len(residuals))
         numeric = np.zeros_like(jac)
         for j in range(2):
             h = np.zeros(2)
             h[j] = 3e-5 * x[j]
-            shifted = [ff._Model(x + k * h, rows, DN, 0.0) for k in (-2, -1, 1, 2)]
+            shifted = [ff._Model(x + k * h, rows, DN) for k in (-2, -1, 1, 2)]
             assume(all(model.penalized == penalized for model in shifted))
             r = [model.residuals for model in shifted]
             numeric[:, j] = (8.0 * (r[2] - r[1]) - (r[3] - r[0])) / (12.0 * h[j])
@@ -284,7 +292,7 @@ class TestJacobian:
         # are penalties, and a penalty does not move with the geometry.
         x = np.array([fast_geometry.core_diameter * 1e6, fast_geometry.air_filling_fraction])
         rows = self._rows_near_model(x, np.array([700e-9, 775e-9, 790e-9]))
-        model = ff._Model(x, rows, DN, 0.0)
+        model = ff._Model(x, rows, DN)
         residuals, penalized, jac = model.residuals, model.penalized, model.jacobian
         assert penalized == 2
         assert np.all(residuals[:2] == ff.PENALTY_RESIDUAL)
