@@ -351,7 +351,7 @@ def _cmd_purity(config, args):
             "coefficients": list(base.coefficients[:16]),
             "grid_points": [config.n_signal, config.n_idler],
             "refined_purity": refined.purity,
-            "grid_converged": bool(drift < 1e-3),
+            "grid_converged": bool(drift < 1e-3 * refined.purity),
             # Rounded to the 1e-12 resolution of the printed purities, so the
             # last-bit rounding of either Schmidt spectrum does not show.
             "purity_drift": round(drift, 12),

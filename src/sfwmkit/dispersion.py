@@ -9,7 +9,8 @@ solvers in material_optics stay black boxes.
 Chromatic-dispersion profiles use the calibrated vector model (HE11 core mode
 over the unit-cell space-filling-mode cladding); the axis birefringence uses
 the scalar LP01 model, which tracks the measured fast/slow index difference
-much better than the vector model does.
+much better than the vector model does.  Every phase mismatch reads it at each
+pump from one Chebyshev series per axis pair (`pump_birefringence`).
 """
 
 import enum
@@ -31,6 +32,7 @@ __all__ = [
     "gvd",
     "zero_gvd_wavelengths",
     "birefringence",
+    "pump_birefringence",
     "axis_profile",
 ]
 
@@ -85,14 +87,14 @@ class DispersionProfile:
         return self._spline(omega) * C_LIGHT / np.asarray(omega, dtype=float)
 
 
-def _check_in_span(omega, profile):
-    lo, hi = profile.span
+def _check_in_span(omega, span):
+    lo, hi = span
     if np.any(np.asarray(omega) < lo) or np.any(np.asarray(omega) > hi):
-        raise DomainError(f"frequency outside profile span [{lo:.6e}, {hi:.6e}] rad/s")
+        raise DomainError(f"frequency outside span [{lo:.6e}, {hi:.6e}] rad/s")
 
 
 def _k_derivative(omega, profile, order):
-    _check_in_span(omega, profile)
+    _check_in_span(omega, profile.span)
     out = profile._spline(omega, nu=order)
     return float(out) if np.ndim(omega) == 0 else out
 
@@ -156,6 +158,34 @@ def birefringence(wavelength, fiber: FiberSpec):
     return lp01_effective_index(wavelength, fiber.slow_axis) - lp01_effective_index(
         wavelength, fiber.fast_axis
     )
+
+
+@functools.lru_cache(maxsize=32)
+def _birefringence_series(fast_axis, slow_axis):
+    """Degree-24 Chebyshev series in omega of `birefringence` over the band.
+
+    dn is analytic in band, so the tail is rounding; as dn can be ~1e-9, the
+    check is absolute: a degree 21-24 coefficient above 1e-14 raises ArithmeticError.
+    """
+    fiber = FiberSpec(fast_axis, slow_axis, gamma=0.0, length=1.0)
+    series = np.polynomial.Chebyshev.interpolate(
+        lambda omega: birefringence(2 * np.pi * C_LIGHT / omega, fiber),
+        24,
+        domain=2 * np.pi * C_LIGHT / np.array(DEFAULT_WAVELENGTH_BAND[::-1]),
+    )
+    tail = float(np.abs(series.coef[-4:]).max())
+    if tail > 1e-14:
+        raise ArithmeticError(f"birefringence series tail {tail:.3e} above 1e-14")
+    return series
+
+
+def pump_birefringence(omega_p, fiber: FiberSpec):
+    """dn at each pump [rad/s] for every dk and dk slope: the override, or the series."""
+    if fiber.birefringence_override is not None:
+        return fiber.birefringence_override
+    series = _birefringence_series(fiber.fast_axis, fiber.slow_axis)
+    _check_in_span(omega_p, series.domain)
+    return series(omega_p)
 
 
 @functools.lru_cache(maxsize=32)

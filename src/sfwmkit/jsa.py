@@ -74,10 +74,6 @@ class SpectralGrid:
     def idler_spacing(self):
         return float(self.idler_omegas[1] - self.idler_omegas[0])
 
-    def meshes(self):
-        """(omega_s, omega_i) 2-D meshes with signal along axis 0."""
-        return np.meshgrid(self.signal_omegas, self.idler_omegas, indexing="ij")
-
 
 @dataclass(frozen=True, eq=False)
 class JointSpectralAmplitude:

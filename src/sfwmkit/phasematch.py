@@ -3,13 +3,14 @@
 The pump propagates on one axis (by convention the fast axis profile is used
 for all three waves' chromatic wavevectors) and the daughter photons on the
 orthogonal axis; the polarization walk-off enters through a single signed
-birefringence term 2 dn w_p / c in the phase mismatch
+birefringence term in the phase mismatch
 
-    dk = 2 k(w_p) + (2/3) gamma P + 2 dn w_p / c - k(w_s) - k(w_i),
+    dk = 2 k(w_p) + (2/3) gamma P + 2 dn(w_p) w_p / c - k(w_s) - k(w_i),
 
 with energy conservation w_i = 2 w_p - w_s enforced exactly.  The factor 2/3
 reflects the reduced cross-polarized self-phase-modulation contribution of
-the pump at peak power P.
+the pump at peak power P.  Every caller takes dn at each pump frequency, from
+`dispersion.pump_birefringence`.
 
 solve_phasematch takes one pump or an array of them: one dk scan over all
 pumps brackets each sideband, and one vectorised ``chandrupatla`` call
@@ -30,8 +31,8 @@ from .constants import C_LIGHT
 from .dispersion import (
     Axis,
     axis_profile,
-    birefringence,
     inverse_group_velocity,
+    pump_birefringence,
     wavevector,
 )
 from .errors import (
@@ -181,33 +182,20 @@ def resolve_peak_power(pump: PumpSpec):
     return 0.0
 
 
-def delta_k(
-    omega_p,
-    omega_s,
-    omega_i,
-    fiber: FiberSpec,
-    peak_power=0.0,
-    profile=None,
-    birefringence_value=None,
-):
+def delta_k(omega_p, omega_s, omega_i, fiber: FiberSpec, peak_power=0.0, profile=None):
     """Phase mismatch dk [rad/m]; accepts scalars or broadcastable arrays.
 
     The chromatic wavevectors of all three waves are evaluated on the fast
-    axis profile.  gamma is converted from 1/(W km) to 1/(W m).  The
-    birefringence is treated as frequency independent: unless an explicit
-    birefringence_value is passed it is evaluated once, at the wavelength of
-    the mean pump frequency.
+    axis profile.  gamma is converted from 1/(W km) to 1/(W m).  dn is
+    `pump_birefringence` at each element's own pump frequency.
     """
     if profile is None:
         profile = axis_profile(fiber, Axis.FAST)
-    if birefringence_value is None:
-        lam_p = 2.0 * np.pi * C_LIGHT / float(np.mean(omega_p))
-        birefringence_value = birefringence(lam_p, fiber)
     gamma_per_m = fiber.gamma * 1e-3
     dk = (
         2.0 * wavevector(omega_p, profile)
         + (2.0 / 3.0) * gamma_per_m * peak_power
-        + 2.0 * birefringence_value * np.asarray(omega_p, dtype=float) / C_LIGHT
+        + 2.0 * pump_birefringence(omega_p, fiber) * np.asarray(omega_p, dtype=float) / C_LIGHT
         - wavevector(omega_s, profile)
         - wavevector(omega_i, profile)
     )
@@ -223,7 +211,7 @@ def solve_phasematch(
     degeneracy guard (+2 THz) to the top of the profile band (capped so the
     idler stays in band) and brackets the sign change nearest degeneracy;
     one `chandrupatla` call then refines all brackets to 1e5 rad/s (well
-    below 1e-4 nm).  The birefringence is evaluated at each pump, and a
+    below 1e-4 nm).  `delta_k` takes the birefringence at each pump, and a
     root is accepted only if |dk| < 1e-3 rad/m.  A scalar pump gives a
     PhasematchPoint or raises NoPhasematchError; an array gives a list with
     one PhasematchPoint, or None where there is none, per pump.  An explicit
@@ -244,21 +232,12 @@ def solve_phasematch(
     }
     rows = np.nonzero(hi > lo)[0]
     omega_p = omega_p[rows]
-    dn = np.broadcast_to(birefringence(pumps[rows], fiber), rows.shape)
 
-    def mismatch(omega_s, omega_p, dn):
-        return delta_k(
-            omega_p,
-            omega_s,
-            2.0 * omega_p - omega_s,
-            fiber,
-            peak_power,
-            profile=profile,
-            birefringence_value=dn,
-        )
+    def mismatch(omega_s, omega_p):
+        return delta_k(omega_p, omega_s, 2.0 * omega_p - omega_s, fiber, peak_power, profile)
 
     omegas = np.linspace(lo[rows], hi[rows], _SCAN_POINTS, axis=-1)
-    values = mismatch(omegas, omega_p[:, None], dn[:, None])
+    values = mismatch(omegas, omega_p[:, None])
     flips = np.sign(values[:, :-1]) * np.sign(values[:, 1:]) < 0
     for r in np.nonzero(~flips.any(axis=1))[0]:
         failures[rows[r]] = (
@@ -267,11 +246,11 @@ def solve_phasematch(
         )
     found = np.nonzero(flips.any(axis=1))[0]
     i = flips[found].argmax(axis=1)  # branch nearest degeneracy
-    omega_p, dn = omega_p[found], dn[found]
+    omega_p = omega_p[found]
     omega_s, ok = chandrupatla(
-        mismatch, omegas[found, i], omegas[found, i + 1], (omega_p, dn), xatol=1e5
+        mismatch, omegas[found, i], omegas[found, i + 1], (omega_p,), xatol=1e5
     )
-    residual = np.abs(mismatch(omega_s, omega_p, dn))
+    residual = np.abs(mismatch(omega_s, omega_p))
     points = [None] * len(pumps)
     for r, k in enumerate(rows[found]):
         if not (ok[r] and residual[r] < 1e-3):
@@ -315,7 +294,7 @@ def ridge_slopes(points, fiber: FiberSpec, profile=None):
     Returns arrays (omega_p, omega_s, omega_i, slope_s, slope_i) with
     slope_x = k'(w_p) + dn/c - k'(w_x): k' on the profile (by default the
     fiber's fast-axis profile) and dn at each point's own pump, as
-    `solve_phasematch` solved it.  slope_s = d(dk)/d(w_s) at fixed w_i and
+    `delta_k` takes it.  slope_s = d(dk)/d(w_s) at fixed w_i and
     slope_i = d(dk)/d(w_i) at fixed w_s, so at fixed pump d(dk)/d(w_s) =
     slope_s - slope_i, along the ridge dw_i/dw_s = -slope_s/slope_i, and the
     group-velocity-matched pump is where slope_s = 0.
@@ -326,7 +305,8 @@ def ridge_slopes(points, fiber: FiberSpec, profile=None):
         [(p.pump_wavelength, p.signal_wavelength, p.idler_wavelength) for p in points], (-1, 3)
     ).T
     omega_p, omega_s, omega_i = 2.0 * np.pi * C_LIGHT / lam
-    slowness_p = inverse_group_velocity(omega_p, profile) + birefringence(lam[0], fiber) / C_LIGHT
+    dn = pump_birefringence(omega_p, fiber)
+    slowness_p = inverse_group_velocity(omega_p, profile) + dn / C_LIGHT
     slope_s = slowness_p - inverse_group_velocity(omega_s, profile)
     slope_i = slowness_p - inverse_group_velocity(omega_i, profile)
     return omega_p, omega_s, omega_i, slope_s, slope_i
@@ -354,10 +334,11 @@ def gvm_pump_wavelength(
     There the joint spectrum's ridge runs along the signal axis.  With a
     pump-independent birefringence the idler is also stationary under pump
     tuning there; a pump-dependent dn (no override) moves that point away.
-    Scans slope_s (walk-off corrected, dn at each pump) at 16 pumps over the
-    search range in one `solve_phasematch` call, then refines the first sign
-    change with `chandrupatla` to 1e-12 m.  Raises NoGroupVelocityMatchError
-    when slope_s does not change sign or the root does not converge.
+    The walk-off term holds dn at each pump, as `delta_k` does, with no dn'
+    term.  Scans slope_s at 16 pumps over the search range in one
+    `solve_phasematch` call, then refines the first sign change with
+    `chandrupatla` to 1e-12 m.  Raises NoGroupVelocityMatchError when slope_s
+    does not change sign or the root does not converge.
     """
     lam_lo, lam_hi = search_range
     grid = np.linspace(lam_lo, lam_hi, 16)

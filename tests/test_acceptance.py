@@ -164,7 +164,7 @@ def test_criterion_07_schmidt_suite(pump_40cm, fiber_40cm):
     grid = jsamod.SpectralGrid(
         np.linspace(2.55e15, 2.65e15, 128), np.linspace(2.15e15, 2.25e15, 128)
     )
-    om_s, om_i = grid.meshes()
+    om_s, om_i = np.meshgrid(grid.signal_omegas, grid.idler_omegas, indexing="ij")
     amp = np.exp(
         -((om_s - 2.6e15) ** 2) / (2 * 1e13**2)
         - ((om_i - 2.2e15) ** 2) / (2 * 8e12**2)

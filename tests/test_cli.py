@@ -357,6 +357,18 @@ class TestSubcommands:
         assert payload["grid_converged"] is True
         assert len(payload["coefficients"]) == 16
 
+    def test_purity_gate_is_relative(self, tmp_path, capsys):
+        # At 100 m with a 787 nm / 7.5 nm pump the 256^2 purity, 0.009997, is
+        # 8.5% off the refined 0.009216, though the drift (7.8e-4) is below 1e-3.
+        document = _paper_document()
+        document["pump"].update(center_wavelength_nm=787.0, filter_width_nm=7.5)
+        argv = ["purity", "--config", _write_config(tmp_path, document), "--length-m", "100"]
+        code, out, _ = _run(argv, capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["purity_drift"] < 1e-3
+        assert payload["grid_converged"] is False
+
     def test_dispersion_table(self, config_path, capsys):
         code, out, _ = _run(
             ["dispersion", "--config", config_path, "--points", "7"], capsys

@@ -253,6 +253,47 @@ class TestBirefringence:
         assert disp.birefringence(785e-9, fiber) == 0.0
 
 
+class TestBirefringenceSeries:
+    @pytest.mark.parametrize(
+        "fast, slow",
+        [
+            # The swapped paper axes, fit-box corners with the paper's axis
+            # offset, and nearly coincident axes (dn ~ 5e-11).
+            (FiberAxisGeometry(1.7488e-6, 0.505), FiberAxisGeometry(1.7507e-6, 0.511)),
+            *[
+                (FiberAxisGeometry(core, fill), FiberAxisGeometry(core - 1.9e-9, fill - 0.006))
+                for core in (1.6e-6, 2.0e-6)
+                for fill in (0.40, 0.60)
+            ],
+            (FiberAxisGeometry(1.8e-6, 0.5), FiberAxisGeometry(1.8e-6 * (1 + 1e-9), 0.5)),
+        ],
+    )
+    def test_matches_direct_lp01_difference(self, fast, slow, rng):
+        fiber = FiberSpec(fast, slow, 99.0, 1.0)
+        lam = rng.uniform(550e-9, 1250e-9, 64)
+        series = disp.pump_birefringence(2 * np.pi * C_LIGHT / lam, fiber)
+        assert np.abs(series - disp.birefringence(lam, fiber)).max() <= 1e-14
+
+    def test_override_is_the_constant(self, fiber_40cm):
+        assert disp.pump_birefringence(np.array([2.3e15, 2.4e15]), fiber_40cm) == -1.7e-5
+
+    def test_no_extrapolation_outside_band(self, fiber_no_override):
+        lo, hi = disp._birefringence_series(
+            fiber_no_override.fast_axis, fiber_no_override.slow_axis
+        ).domain
+        with pytest.raises(DomainError):
+            disp.pump_birefringence(np.array([lo, np.nextafter(hi, np.inf)]), fiber_no_override)
+
+    def test_unresolved_tail_raises(self, fiber_no_override, monkeypatch):
+        # A kink at 800 nm is not analytic: its Chebyshev tail stays far above
+        # rounding, so the series must not be trusted.
+        monkeypatch.setattr(disp, "birefringence", lambda lam, fiber: 1e-2 * np.abs(lam - 800e-9))
+        with pytest.raises(ArithmeticError, match="tail"):
+            disp._birefringence_series.__wrapped__(
+                fiber_no_override.fast_axis, fiber_no_override.slow_axis
+            )
+
+
 class TestProfileValidation:
     def test_too_few_points(self):
         omegas = np.linspace(1e15, 2e15, 16)

@@ -17,7 +17,7 @@ def _gaussian_jsa(correlation, n=96, center_s=2.6e15, center_i=2.2e15):
         signal_omegas=np.linspace(center_s - 5e13, center_s + 5e13, n),
         idler_omegas=np.linspace(center_i - 5e13, center_i + 5e13, n),
     )
-    om_s, om_i = grid.meshes()
+    om_s, om_i = np.meshgrid(grid.signal_omegas, grid.idler_omegas, indexing="ij")
     a = 1.0 / (2 * (1e13) ** 2)
     amp = np.exp(
         -a * ((om_s - center_s) ** 2 + (om_i - center_i) ** 2)

@@ -160,7 +160,8 @@ class TestBuildJsa:
 
         jsa = _paper_jsa(pump_40cm, fiber_40cm)
         weights = np.abs(jsa.amplitude) ** 2
-        om_s, om_i = jsa.grid.meshes()
+        grid = jsa.grid
+        om_s, om_i = np.meshgrid(grid.signal_omegas, grid.idler_omegas, indexing="ij")
         centroid_s = np.sum(weights * om_s) / np.sum(weights)
         centroid_i = np.sum(weights * om_i) / np.sum(weights)
         point = solve_phasematch(783e-9, fiber_40cm)
@@ -176,7 +177,7 @@ class TestBuildJsa:
         # must be the same bits as the product evaluated on full 2-D meshes.
         grid = jsamod.adaptive_grid(pump_40cm, fiber_40cm, n_signal=96, n_idler=64)
         jsa = jsamod.build_jsa(pump_40cm, fiber_40cm, grid=grid)
-        om_s, om_i = grid.meshes()
+        om_s, om_i = np.meshgrid(grid.signal_omegas, grid.idler_omegas, indexing="ij")
         product = jsamod.pump_function(om_s + om_i, pump_40cm) * jsamod.phasematch_function(
             om_s, om_i, fiber_40cm, jsamod.resolve_peak_power(pump_40cm)
         )
@@ -212,7 +213,7 @@ def _chirped_double_gaussian(n_signal, n_idler):
         signal_omegas=np.linspace(2.6e15 - 6e13, 2.6e15 + 6e13, n_signal),
         idler_omegas=np.linspace(2.2e15 - 6e13, 2.2e15 + 6e13, n_idler),
     )
-    om_s, om_i = grid.meshes()
+    om_s, om_i = np.meshgrid(grid.signal_omegas, grid.idler_omegas, indexing="ij")
     x, y = (om_s - 2.6e15) / 1e13, (om_i - 2.2e15) / 1e13
     amp = np.exp(-0.5 * (x**2 + y**2) - 0.3 * x * y + 0.4j * x * y + 0.2j * x**2)
     return _normalized_jsa(amp, grid)
@@ -249,7 +250,7 @@ class TestSchmidt:
 
     def test_separable_purity_one(self):
         grid = _square_grid(2.6e15, 2.2e15, 4e13)
-        om_s, om_i = grid.meshes()
+        om_s, om_i = np.meshgrid(grid.signal_omegas, grid.idler_omegas, indexing="ij")
         amp = np.exp(-((om_s - 2.6e15) ** 2) / (2 * (8e12) ** 2)) * np.exp(
             -((om_i - 2.2e15) ** 2) / (2 * (5e12) ** 2)
         )
@@ -262,7 +263,7 @@ class TestSchmidt:
         # f = exp(-a (x^2 + y^2) - 2 b x y) has Hermite Schmidt modes with
         # geometric coefficients; closed form purity = sqrt(1 - (b/a)^2).
         grid = _square_grid(2.6e15, 2.2e15, 6e13, n=256)
-        om_s, om_i = grid.meshes()
+        om_s, om_i = np.meshgrid(grid.signal_omegas, grid.idler_omegas, indexing="ij")
         a = 1.0 / (2 * (1e13) ** 2)
         b = ratio * a
         x = om_s - 2.6e15
@@ -278,7 +279,7 @@ class TestSchmidt:
 
     def test_entropy_zero_iff_pure(self):
         grid = _square_grid(2.6e15, 2.2e15, 4e13)
-        om_s, om_i = grid.meshes()
+        om_s, om_i = np.meshgrid(grid.signal_omegas, grid.idler_omegas, indexing="ij")
         amp = np.exp(
             -((om_s - 2.6e15) ** 2) / (2 * (8e12) ** 2)
             - ((om_i - 2.2e15) ** 2) / (2 * (5e12) ** 2)
@@ -312,6 +313,13 @@ class TestSchmidt:
             jsamod.build_jsa(pump_40cm, fiber, grid=grid)
         ).purity
         assert purity == pytest.approx(reference_purity(pump_40cm, fiber), rel=0.02)
+
+    @pytest.mark.parametrize("length, expected", [(0.4, 0.3992), (1.0, 0.4929), (10.0, 0.0611)])
+    def test_no_override_purity(self, pump_40cm, fiber_no_override, length, expected):
+        # dn is taken at each pump of the grid, not held at one value.
+        fiber = dataclasses.replace(fiber_no_override, length=length)
+        jsa = jsamod.build_jsa(pump_40cm, fiber, jsamod.adaptive_grid(pump_40cm, fiber))
+        assert jsamod.schmidt_decompose(jsa).purity == pytest.approx(expected, abs=1e-3)
 
     def test_svd_reconstruction(self, pump_40cm, fiber_40cm):
         jsa = _paper_jsa(pump_40cm, fiber_40cm)
@@ -348,6 +356,15 @@ class TestRidge:
         numeric_s, numeric_i = central_slopes(omega_s, omega_i, fiber)
         assert np.abs(slope_s - numeric_s).max() <= 1e-5 * np.abs(numeric_s).max()
         assert np.abs(slope_i - numeric_i).max() <= 1e-5 * np.abs(numeric_i).max()
+
+    @pytest.mark.parametrize("name", ["fiber_40cm", "fiber_no_override"])
+    def test_fill_phasematched_on_ridge(self, pump_40cm, name, request):
+        # The fill's dk, one array call over all nine ridge sidebands, vanishes
+        # where `_ridge` solved them one pump at a time.
+        fiber = dataclasses.replace(request.getfixturevalue(name), length=1.0)
+        omega_s, omega_i, *_ = jsamod._ridge(pump_40cm, fiber)
+        dk = jsamod.delta_k(0.5 * (omega_s + omega_i), omega_s, omega_i, fiber)
+        assert np.abs(dk).max() < 1e-3
 
     def test_grid_independent_of_cache_state(self, pump_40cm, fiber_40cm):
         ridge = jsamod._ridge(pump_40cm, dataclasses.replace(fiber_40cm, length=1.0))

@@ -87,6 +87,17 @@ class TestDeltaK:
         for k, os_ in enumerate(om_s):
             assert values[k] == pm.delta_k(om_p, os_, 2 * om_p - os_, fiber_40cm)
 
+    @pytest.mark.parametrize("name", ["fiber_40cm", "fiber_no_override"])
+    def test_array_of_pumps_matches_scalar_calls(self, name, request):
+        # dn is taken at each element's own pump, so no element depends on
+        # the other pumps of the call.
+        fiber = request.getfixturevalue(name)
+        om_p = 2 * np.pi * C_LIGHT / np.array([770e-9, 785e-9, 800e-9])
+        om_s = 2 * np.pi * C_LIGHT / np.array([720e-9, 726e-9, 730e-9])
+        values = pm.delta_k(om_p, om_s, 2 * om_p - om_s, fiber)
+        for k in range(3):
+            assert values[k] == pm.delta_k(om_p[k], om_s[k], 2 * om_p[k] - om_s[k], fiber)
+
 
 class TestSolvePhasematch:
     def test_paper_operating_point(self, fiber_40cm):
