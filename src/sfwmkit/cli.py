@@ -78,10 +78,10 @@ _TOP_KEYS = {"fiber", "pump", "grid", "seed"}
 class RunConfig:
     fiber: FiberSpec
     pump: PumpSpec
-    n_signal: int = 256
-    n_idler: int = 256
-    sidelobes: int = 32
-    seed: int = 0
+    n_signal: int
+    n_idler: int
+    sidelobes: int
+    seed: int
 
 
 def _key_path(path, key):
@@ -217,11 +217,16 @@ def _user_values(what):
         raise ConfigError(f"{what}: {exc}") from None
 
 
+# Largest sample count on the command line, as for the grid in `parse_config`:
+# the phasematch scan holds 2000 signal samples (about 77 KB) per pump.
+_MAX_COUNT = 2048
+
+
 def _positive_count(text):
-    """argparse type of sample counts: an integer >= 1."""
+    """argparse type of sample counts: an integer in [1, _MAX_COUNT]."""
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if not 1 <= value <= _MAX_COUNT:
+        raise argparse.ArgumentTypeError(f"must be in [1, {_MAX_COUNT}], got {value}")
     return value
 
 
@@ -243,7 +248,17 @@ def _apply_overrides(config, args):
 # Subcommands: each returns the text that main writes out
 # ---------------------------------------------------------------------------
 
-_HOM_COLUMNS = ("theta_deg", "R_ABCD", "R_AB", "R_CD", "R_AD", "R_BC", "duration_s")
+# The hom-sim/hom-fit CSV header, column by column, and the HomDataset array
+# field each column holds; theta is in degrees in the file, radians in the dataset.
+_HOM_COLUMNS = {
+    "theta_deg": "theta",
+    "R_ABCD": "four_fold",
+    "R_AB": "two_fold_ab",
+    "R_CD": "two_fold_cd",
+    "R_AD": "two_fold_ad",
+    "R_BC": "two_fold_bc",
+    "duration_s": "duration",
+}
 
 
 def _csv(header, rows):
@@ -371,18 +386,10 @@ def _cmd_purity_scan(config, args):
 
 def _cmd_hom_fit(config, args):
     rows = [values for _, values in read_csv(args.data, _HOM_COLUMNS)]
-    theta, four_fold, ab, cd, ad, bc, duration = np.array(rows).T
+    columns = dict(zip(_HOM_COLUMNS.values(), np.array(rows).T))
+    columns["theta"] = np.deg2rad(columns["theta"])
     with _user_values(args.data):
-        data = HomDataset(
-            theta=np.deg2rad(theta),
-            four_fold=four_fold,
-            two_fold_ab=ab,
-            two_fold_cd=cd,
-            two_fold_ad=ad,
-            two_fold_bc=bc,
-            duration=duration,
-            repetition_rate=args.rep_rate,
-        )
+        data = HomDataset(**columns, repetition_rate=args.rep_rate)
     result = fit_purity(data)
     return _json(
         {
@@ -407,16 +414,9 @@ def _cmd_hom_sim(config, args):
             seed=config.seed,
             noiseless=args.noiseless,
         )
-    columns = (
-        np.rad2deg(data.theta),
-        data.four_fold,
-        data.two_fold_ab,
-        data.two_fold_cd,
-        data.two_fold_ad,
-        data.two_fold_bc,
-        data.duration,
-    )
-    return _csv(_HOM_COLUMNS, zip(*columns))
+    columns = {name: getattr(data, name) for name in _HOM_COLUMNS.values()}
+    columns["theta"] = np.rad2deg(data.theta)
+    return _csv(_HOM_COLUMNS, zip(*columns.values()))
 
 
 def _cmd_fit_fiber(config, args):

@@ -15,7 +15,7 @@ pump from one Chebyshev series per axis pair (`pump_birefringence`).
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PPoly, make_interp_spline
@@ -52,7 +52,6 @@ class DispersionProfile:
 
     omegas: np.ndarray  # strictly increasing angular frequencies [rad/s]
     n_eff: np.ndarray
-    _spline: object = field(default=None, repr=False)
 
     def __post_init__(self):
         omegas = np.asarray(self.omegas, dtype=float)
@@ -63,9 +62,8 @@ class DispersionProfile:
             raise ValueError("profile grid must be strictly increasing")
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "n_eff", n_eff)
-        if self._spline is None:
-            spline = make_interp_spline(omegas, n_eff * omegas / C_LIGHT, k=_SPLINE_ORDER)
-            object.__setattr__(self, "_spline", PPoly.from_spline(spline))
+        spline = make_interp_spline(omegas, n_eff * omegas / C_LIGHT, k=_SPLINE_ORDER)
+        object.__setattr__(self, "_spline", PPoly.from_spline(spline))
 
     @classmethod
     def from_geometry(cls, geometry, n_points=DEFAULT_GRID_POINTS):

@@ -215,18 +215,17 @@ class _Model:
         profile), so no spline of the gradient is built.  A residual row is
         -lambda^2/(2 pi c) dw/dx / sigma; a penalized row is zero.
         """
-        found = [r for r, point in enumerate(self.points) if point is not None]
         d_omega_s = np.zeros((len(self.points), 2))
-        if found:
-            points = [self.points[r] for r in found]
-            *omegas, slope_s, slope_i = ridge_slopes(points, self.fiber, self.profile)
-            omegas = np.concatenate(omegas)
+        if any(self.points):  # every point is None where there is no profile
+            *omegas, slope_s, slope_i = ridge_slopes(self.points, self.fiber, self.profile)
+            found = ~np.isnan(slope_s)
+            omegas = np.concatenate([omega[found] for omega in omegas])
             dn = he11_index_gradient(
                 _TWO_PI_C / omegas, self.geometry, self.profile.index_at(omegas)
             )
             dn[:, 0] *= 1e-6  # x[0] is in um
             k_p, k_s, k_i = np.split(dn * (omegas / C_LIGHT)[:, None], 3)
-            d_omega_s[found] = -(2.0 * k_p - k_s - k_i) / (slope_s - slope_i)[:, None]
+            d_omega_s[found] = -(2.0 * k_p - k_s - k_i) / (slope_s - slope_i)[found, None]
         return np.array(
             [
                 np.zeros(2) if model is None else -sign * model**2 / _TWO_PI_C * d_omega_s[r] / sigma

@@ -24,7 +24,7 @@ offset the data were normalized with, is one bracketed root.
 
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -75,15 +75,7 @@ class HomDataset:
     repetition_rate: float  # [Hz]
 
     def __post_init__(self):
-        columns = (
-            "theta",
-            "four_fold",
-            "two_fold_ab",
-            "two_fold_cd",
-            "two_fold_ad",
-            "two_fold_bc",
-            "duration",
-        )
+        columns = [spec.name for spec in fields(self) if spec.type is np.ndarray]
         arrays = [np.asarray(getattr(self, name), dtype=float) for name in columns]
         if len({len(arr) for arr in arrays}) != 1:
             raise ValueError("all dataset columns must have equal length")
@@ -100,9 +92,6 @@ class HomDataset:
         rate = self.repetition_rate
         if not (np.isfinite(rate) and rate > 0):
             raise ValueError(f"repetition_rate must be finite and > 0, got {rate!r}")
-
-    def __len__(self):
-        return len(self.theta)
 
 
 @dataclass(frozen=True)

@@ -176,12 +176,13 @@ def _ridge(pump: PumpSpec, fiber: FiberSpec):
     points = solve_phasematch(
         2.0 * np.pi * C_LIGHT / omega_p, fiber, resolve_peak_power(pump)
     )
-    found = [point for point in points if point is not None]
-    if not found:
+    ridge = ridge_slopes(points, fiber)[1:]
+    found = ~np.isnan(ridge[0])
+    if not found.any():
         raise GridError(
             "no phasematched ridge anywhere in the pump band; cannot place grid"
         )
-    ridge = ridge_slopes(found, fiber)[1:]
+    ridge = tuple(array[found] for array in ridge)
     for array in ridge:
         array.setflags(write=False)
     return ridge

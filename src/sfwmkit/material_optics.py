@@ -60,6 +60,7 @@ _J0_FIRST_ZERO = float(jn_zeros(0, 1)[0])  # 2.404825...
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 # As many bisections as there are binades between tiny and max.
 _MAX_ITERATIONS = 2046
+_PARTIALS_STEP = 1e-7  # relative step of `_char_partials`
 
 
 @dataclass(frozen=True)
@@ -103,10 +104,9 @@ class FiberSpec:
             raise ValueError(f"birefringence_override must be finite, got {dn}")
 
     def axis_geometry(self, axis):
-        name = getattr(axis, "value", axis)
-        if name == "fast":
+        if axis == "fast":
             return self.fast_axis
-        if name == "slow":
+        if axis == "slow":
             return self.slow_axis
         raise ValueError(f"unknown axis {axis!r}")
 
@@ -379,7 +379,7 @@ def he11_effective_index_grid(wavelengths, geometry):
     )
 
 
-def _char_partials(char, args, which, rel_step=1e-7):
+def _char_partials(char, args, which):
     """Central-difference partials of char(*args) in the arguments at positions `which`.
 
     The characteristic functions are closed-form Bessel expressions, so a
@@ -387,7 +387,7 @@ def _char_partials(char, args, which, rel_step=1e-7):
     """
     partials = []
     for i in which:
-        h = rel_step * np.abs(args[i])
+        h = _PARTIALS_STEP * np.abs(args[i])
         up, down = list(args), list(args)
         up[i], down[i] = args[i] + h, args[i] - h
         partials.append((char(*up) - char(*down)) / (2.0 * h))

@@ -289,41 +289,30 @@ def phasematch_curve(pump_range, n_points, fiber: FiberSpec, peak_power=0.0):
 
 
 def ridge_slopes(points, fiber: FiberSpec, profile=None):
-    """Frequencies and dk slopes of a list of PhasematchPoints (empty arrays if empty).
+    """Frequencies and dk slopes of `solve_phasematch`'s list, one row per entry.
 
     Returns arrays (omega_p, omega_s, omega_i, slope_s, slope_i) with
     slope_x = k'(w_p) + dn/c - k'(w_x): k' on the profile (by default the
     fiber's fast-axis profile) and dn at each point's own pump, as
-    `delta_k` takes it.  slope_s = d(dk)/d(w_s) at fixed w_i and
+    `delta_k` takes it.  A None entry gives NaN in every array; an empty
+    list gives empty arrays.  slope_s = d(dk)/d(w_s) at fixed w_i and
     slope_i = d(dk)/d(w_i) at fixed w_s, so at fixed pump d(dk)/d(w_s) =
     slope_s - slope_i, along the ridge dw_i/dw_s = -slope_s/slope_i, and the
     group-velocity-matched pump is where slope_s = 0.
     """
     if profile is None:
         profile = axis_profile(fiber, Axis.FAST)
-    lam = np.reshape(
-        [(p.pump_wavelength, p.signal_wavelength, p.idler_wavelength) for p in points], (-1, 3)
-    ).T
+    rows = [
+        (np.nan,) * 3 if p is None else (p.pump_wavelength, p.signal_wavelength, p.idler_wavelength)
+        for p in points
+    ]
+    lam = np.reshape(rows, (-1, 3)).T
     omega_p, omega_s, omega_i = 2.0 * np.pi * C_LIGHT / lam
     dn = pump_birefringence(omega_p, fiber)
     slowness_p = inverse_group_velocity(omega_p, profile) + dn / C_LIGHT
     slope_s = slowness_p - inverse_group_velocity(omega_s, profile)
     slope_i = slowness_p - inverse_group_velocity(omega_i, profile)
     return omega_p, omega_s, omega_i, slope_s, slope_i
-
-
-def _gvm_mismatch(pumps, fiber, peak_power):
-    """slope_s of `ridge_slopes` at an array of pumps, NaN where one has no phasematch.
-
-    Its root is the design pump, where the signal group slowness matches the
-    pump's *including* the walk-off term (with dn = 0, plain group-velocity
-    matching).
-    """
-    points = solve_phasematch(pumps, fiber, peak_power)
-    found = np.array([point is not None for point in points])
-    g = np.full(pumps.shape, np.nan)
-    g[found] = ridge_slopes([point for point in points if point is not None], fiber)[3]
-    return g
 
 
 def gvm_pump_wavelength(
@@ -335,14 +324,19 @@ def gvm_pump_wavelength(
     pump-independent birefringence the idler is also stationary under pump
     tuning there; a pump-dependent dn (no override) moves that point away.
     The walk-off term holds dn at each pump, as `delta_k` does, with no dn'
-    term.  Scans slope_s at 16 pumps over the search range in one
-    `solve_phasematch` call, then refines the first sign change with
-    `chandrupatla` to 1e-12 m.  Raises NoGroupVelocityMatchError when slope_s
-    does not change sign or the root does not converge.
+    term, so with dn = 0 this is plain group-velocity matching.  Scans
+    slope_s (NaN where a pump has no phasematch) at 16 pumps over the search
+    range in one `solve_phasematch` call, then refines the first sign change
+    with `chandrupatla` to 1e-12 m.  Raises NoGroupVelocityMatchError when
+    slope_s does not change sign or the root does not converge.
     """
+
+    def slope_s(pumps):
+        return ridge_slopes(solve_phasematch(pumps, fiber, peak_power), fiber)[3]
+
     lam_lo, lam_hi = search_range
     grid = np.linspace(lam_lo, lam_hi, 16)
-    values = _gvm_mismatch(grid, fiber, peak_power)
+    values = slope_s(grid)
     flips = np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
     if len(flips) == 0:
         raise NoGroupVelocityMatchError(
@@ -350,12 +344,7 @@ def gvm_pump_wavelength(
             f"({lam_lo * 1e9:.1f}, {lam_hi * 1e9:.1f}) nm"
         )
     i = flips[0]
-    root, ok = chandrupatla(
-        lambda pumps: _gvm_mismatch(pumps, fiber, peak_power),
-        grid[i],
-        grid[i + 1],
-        xatol=1e-12,
-    )
+    root, ok = chandrupatla(slope_s, grid[i], grid[i + 1], xatol=1e-12)
     if not ok:
         raise NoGroupVelocityMatchError(
             f"group-velocity-matched pump in ({grid[i] * 1e9:.2f}, "

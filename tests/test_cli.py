@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from sfwmkit import cli
 from sfwmkit.errors import ConfigError
+from sfwmkit.hom import HomDataset, HomModelParams, simulate_counts
 from sfwmkit.jsa import adaptive_grid, build_jsa, schmidt_decompose
 from sfwmkit.material_optics import FiberAxisGeometry, FiberSpec
 from sfwmkit.phasematch import PumpSpec, gvm_pump_wavelength, resolve_peak_power
@@ -308,11 +309,27 @@ class TestExitCodes:
         with pytest.raises(TypeError, match="bug in a subcommand"):
             cli.main(["gvm", "--config", config_path])
 
-    @pytest.mark.parametrize("argv", [["dispersion", "--points", "0"], ["phasematch", "--points", "-3"]])
-    def test_bad_count_exits_two(self, config_path, argv):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dispersion", "--points", "0"],
+            ["phasematch", "--points", "-3"],
+            ["dispersion", "--points", "2049"],
+            ["phasematch", "--points", "2049"],
+            ["hom-sim", "--p", "0.9", "--theta-points", "2049"],
+        ],
+    )
+    def test_bad_count_exits_two(self, config_path, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main([*argv, "--config", config_path])
         assert excinfo.value.code == 2
+        assert "must be in [1, 2048]" in capsys.readouterr().err
+
+    def test_largest_count_accepted(self, config_path, capsys):
+        argv = ["dispersion", "--config", config_path, "--points", "2048"]
+        code, out, _ = _run(argv, capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 2 * 2048
 
     def test_unknown_flag_exits_two(self, config_path):
         with pytest.raises(SystemExit) as excinfo:
@@ -412,6 +429,51 @@ class TestSubcommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["p"] == pytest.approx(0.85, abs=4 * payload["sigma_p"])
+
+    def test_hom_noiseless_round_trip_recovers_truth(self, config_path, tmp_path, capsys):
+        # Exact means: what hom-sim writes and hom-fit reads must agree column
+        # for column to recover (p, chi) far inside the shot-noise sigma.
+        data = tmp_path / "hom.csv"
+        argv = ["hom-sim", "--config", config_path, "--p", "0.86", "--chi", "0.07"]
+        code, _, _ = _run([*argv, "--noiseless", "--out", str(data)], capsys)
+        assert code == 0
+        argv = ["hom-fit", "--config", config_path, "--data", str(data), "--rep-rate", "76e6"]
+        code, out, _ = _run(argv, capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["p"] == pytest.approx(0.86, abs=1e-6)
+        assert payload["chi"] == pytest.approx(0.07, abs=1e-6)
+
+    def test_hom_sim_writes_each_field_under_its_header(self, config_path, capsys):
+        # Noisy counts make the four two-fold columns differ, so a swapped
+        # pair shows here; a round trip through one table cannot see it.
+        code, out, _ = _run(["hom-sim", "--config", config_path, "--p", "0.86"], capsys)
+        assert code == 0
+        header, *rows = out.splitlines()
+        written = dict(zip(header.split(","), np.array([r.split(",") for r in rows], float).T))
+        data = simulate_counts(
+            HomModelParams(p=0.86),
+            np.deg2rad(np.linspace(0.0, 90.0, 19)),
+            two_fold_mean=1.2e6,
+            duration=60.0,
+            repetition_rate=76e6,
+        )
+        documented = {
+            "theta_deg": np.rad2deg(data.theta),
+            "R_ABCD": data.four_fold,
+            "R_AB": data.two_fold_ab,
+            "R_CD": data.two_fold_cd,
+            "R_AD": data.two_fold_ad,
+            "R_BC": data.two_fold_bc,
+            "duration_s": data.duration,
+        }
+        assert list(written) == list(documented)
+        for name, column in documented.items():
+            np.testing.assert_allclose(written[name], column, rtol=1e-11)
+
+    def test_hom_columns_are_the_dataset_arrays(self):
+        arrays = [f.name for f in dataclasses.fields(HomDataset) if f.name != "repetition_rate"]
+        assert list(cli._HOM_COLUMNS.values()) == arrays
 
     def test_hom_fit_pinned_chi_prints_valid_json(self, config_path, tmp_path, capsys):
         # The fit pins chi at 0, where sigma_chi is infinite: JSON has no

@@ -200,8 +200,9 @@ class TestZeroGvdFilter:
         for j in range(32):
             c0, c1, c2, c3 = second(j)  # k'' = c0 + c1 u + c2 u^2 + c3 u^3
             quintic[:4, j] = c3 / h**3 / 20, c2 / h**2 / 12, c1 / h / 6, c0 / 2
-        spline = PPoly(quintic, omegas)
-        return disp.DispersionProfile(omegas=omegas, n_eff=np.ones(33), _spline=spline)
+        profile = disp.DispersionProfile(omegas=omegas, n_eff=np.ones(33))
+        object.__setattr__(profile, "_spline", PPoly(quintic, omegas))
+        return profile
 
     def test_two_roots_in_one_piece(self):
         s = 2.0**-86

@@ -155,7 +155,7 @@ class TestHomDatasetValidation:
 
     def test_zero_counts_accepted(self):
         # A row with no four-fold events is data, not an error.
-        assert len(_dataset(four_fold=[0.0, 60.0])) == 2
+        assert len(_dataset(four_fold=[0.0, 60.0]).theta) == 2
 
 
 class TestNormalizeDataset:

@@ -252,6 +252,19 @@ class TestRidgeSlopes:
         *_, slope_s, _ = pm.ridge_slopes(points, fiber_40cm)
         assert slope_s[0] * slope_s[1] < 0
 
+    @pytest.mark.parametrize("name", ["fiber_40cm", "fiber_no_override"])
+    def test_none_gives_nan_row(self, name, request):
+        # The solver's list as it comes: a pump without a phasematch is a NaN
+        # row, and every other row is that of the list without it, bit for bit.
+        fiber = request.getfixturevalue(name)
+        points = pm.solve_phasematch(np.array([720e-9, 775e-9, 300e-9, 790e-9]), fiber)
+        assert [point is None for point in points] == [True, False, True, False]
+        rows = pm.ridge_slopes(points, fiber)
+        kept = pm.ridge_slopes([point for point in points if point is not None], fiber)
+        for row, expected in zip(rows, kept):
+            assert np.isnan(row[[0, 2]]).all()
+            assert np.array_equal(row[[1, 3]], expected)
+
     def test_empty_list_gives_empty_arrays(self, fiber_40cm):
         assert all(array.shape == (0,) for array in pm.ridge_slopes([], fiber_40cm))
 
