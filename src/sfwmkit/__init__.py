@@ -24,7 +24,6 @@ from .phasematch import (
     delta_k,
     gvm_pump_wavelength,
     phasematch_curve,
-    resolve_peak_power,
     solve_phasematch,
 )
 from .jsa import (

@@ -35,7 +35,6 @@ from .phasematch import (
     PumpSpec,
     gvm_pump_wavelength,
     phasematch_curve,
-    resolve_peak_power,
     ridge_slopes,
 )
 
@@ -64,13 +63,10 @@ _PUMP_FIELDS = {
     "center_wavelength_nm": ("center_wavelength", 1e-9),
     "gaussian_fwhm_nm": ("gaussian_fwhm", 1e-9),
     "filter_width_nm": ("filter_width", 1e-9),
-    "average_power_w": ("average_power", 1.0),
-    "repetition_rate_hz": ("repetition_rate", 1.0),
-    "pulse_fwhm_s": ("pulse_fwhm", 1.0),
     "peak_power_w": ("peak_power", 1.0),
 }
 _PUMP_REQUIRED = {"center_wavelength_nm", "gaussian_fwhm_nm"}
-_GRID_KEYS = {"n_signal", "n_idler", "sidelobes"}
+_GRID_KEYS = {"n_signal", "n_idler"}
 _TOP_KEYS = {"fiber", "pump", "grid", "seed"}
 
 
@@ -80,7 +76,6 @@ class RunConfig:
     pump: PumpSpec
     n_signal: int
     n_idler: int
-    sidelobes: int
     seed: int
 
 
@@ -173,7 +168,8 @@ def parse_config(document):
     pump_values = {}
     for key, (name, scale) in _PUMP_FIELDS.items():
         value = _number(pump_doc, key, "pump", required=key in _PUMP_REQUIRED)
-        pump_values[name] = None if value is None else value * scale
+        if value is not None:
+            pump_values[name] = value * scale
     try:
         pump = PumpSpec(**pump_values)
     except ValueError as exc:
@@ -188,7 +184,6 @@ def parse_config(document):
         # grid, and 4096^2 complex amplitudes already take 268 MB.
         n_signal=_integer(grid_doc, "n_signal", "grid", 256, minimum=64, maximum=2048),
         n_idler=_integer(grid_doc, "n_idler", "grid", 256, minimum=64, maximum=2048),
-        sidelobes=_integer(grid_doc, "sidelobes", "grid", 32, minimum=1),
         seed=_integer(document, "seed", "", 0),
     )
 
@@ -309,7 +304,7 @@ def _cmd_phasematch(config, args):
             f"--range: pump wavelengths must be finite and > 0 nm, got {lam_lo:g} {lam_hi:g}"
         )
     curve = phasematch_curve(
-        (lam_lo * 1e-9, lam_hi * 1e-9), args.points, config.fiber, resolve_peak_power(config.pump)
+        (lam_lo * 1e-9, lam_hi * 1e-9), args.points, config.fiber, config.pump.peak_power
     )
     return _csv(
         ("lambda_p_nm", "lambda_s_nm", "lambda_i_nm"),
@@ -321,7 +316,7 @@ def _cmd_phasematch(config, args):
 
 
 def _cmd_gvm(config, args):
-    lam = gvm_pump_wavelength(config.fiber, peak_power=resolve_peak_power(config.pump))
+    lam = gvm_pump_wavelength(config.fiber, peak_power=config.pump.peak_power)
     # Rounded to 1e-3 nm: the root is refined only to 1e-12 m, so the digits
     # past that move with any change to the root finder.
     return _json({"lambda_p0_nm": round(lam * 1e9, 3)})
@@ -329,11 +324,7 @@ def _cmd_gvm(config, args):
 
 def _build_jsa_from_config(config, n_signal=None, n_idler=None):
     grid = adaptive_grid(
-        config.pump,
-        config.fiber,
-        n_signal=n_signal or config.n_signal,
-        n_idler=n_idler or config.n_idler,
-        sidelobes=config.sidelobes,
+        config.pump, config.fiber, n_signal or config.n_signal, n_idler or config.n_idler
     )
     return build_jsa(config.pump, config.fiber, grid=grid)
 
@@ -451,9 +442,7 @@ def _cmd_figure(config, args):
     # fig1a: the full Ti:Sapphire pump tuning range; the correlation column
     # reads the ridge tilt dw_i/dw_s = -slope_s/slope_i: dk slopes of opposite
     # signs mean frequency-correlated pairs, equal signs anticorrelated.
-    points = phasematch_curve(
-        (700e-9, 1000e-9), 301, config.fiber, resolve_peak_power(config.pump)
-    )
+    points = phasematch_curve((700e-9, 1000e-9), 301, config.fiber, config.pump.peak_power)
     *_, slope_s, slope_i = ridge_slopes(points, config.fiber)
     labels = np.where(slope_s * slope_i < 0, "correlated", "anticorrelated")
     return _csv(

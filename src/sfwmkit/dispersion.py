@@ -82,7 +82,8 @@ class DispersionProfile:
         return float(self.omegas[0]), float(self.omegas[-1])
 
     def index_at(self, omega):
-        return self._spline(omega) * C_LIGHT / np.asarray(omega, dtype=float)
+        """n_eff = k c / omega; raises DomainError outside `span`, as `wavevector` does."""
+        return wavevector(omega, self) * C_LIGHT / np.asarray(omega, dtype=float)
 
 
 def _check_in_span(omega, span):

@@ -30,7 +30,7 @@ from .constants import C_LIGHT
 from .dispersion import Axis, axis_profile
 from .errors import GridError
 from .material_optics import FiberSpec
-from .phasematch import PumpSpec, delta_k, resolve_peak_power, ridge_slopes, solve_phasematch
+from .phasematch import PumpSpec, delta_k, ridge_slopes, solve_phasematch
 
 __all__ = [
     "SpectralGrid",
@@ -45,6 +45,9 @@ __all__ = [
 
 # Pumps sampled across the pump support to trace the phasematch ridge.
 _RIDGE_SAMPLES = 9
+
+# Sinc lobes of padding on each side of the ridge in `adaptive_grid`.
+_SIDELOBES = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,9 +176,7 @@ def _ridge(pump: PumpSpec, fiber: FiberSpec):
     """
     e_lo, e_hi = pump.field_support
     omega_p = np.linspace(e_lo, e_hi, _RIDGE_SAMPLES)
-    points = solve_phasematch(
-        2.0 * np.pi * C_LIGHT / omega_p, fiber, resolve_peak_power(pump)
-    )
+    points = solve_phasematch(2.0 * np.pi * C_LIGHT / omega_p, fiber, pump.peak_power)
     ridge = ridge_slopes(points, fiber)[1:]
     found = ~np.isnan(ridge[0])
     if not found.any():
@@ -188,19 +189,19 @@ def _ridge(pump: PumpSpec, fiber: FiberSpec):
     return ridge
 
 
-def adaptive_grid(pump: PumpSpec, fiber: FiberSpec, n_signal=256, n_idler=256, sidelobes=32):
+def adaptive_grid(pump: PumpSpec, fiber: FiberSpec, n_signal=256, n_idler=256):
     """Spectral grid that tracks the phasematch ridge across the pump band.
 
     For a handful of pump frequencies spanning the pump support the
     phasematched (signal, idler) pair and the local dk slopes are computed
     (once per pump and fiber geometry, whatever the length; see `_ridge`);
-    each axis covers the union of the ridge points padded by `sidelobes` sinc
-    lobes at the local slope, then is clipped to the support of the pump
-    function (w_s + w_i within twice the pump support) and to the dispersion
-    profile band.
+    each axis covers the union of the ridge points padded by `_SIDELOBES`
+    (32) sinc lobes at the local slope, then is clipped to the support of the
+    pump function (w_s + w_i within twice the pump support) and to the
+    dispersion profile band.
     """
     omega_s, omega_i, slope_s, slope_i = _ridge(pump, dataclasses.replace(fiber, length=1.0))
-    lobe = 2.0 * np.pi * sidelobes / fiber.length
+    lobe = 2.0 * np.pi * _SIDELOBES / fiber.length
     reach_s = lobe / np.maximum(np.abs(slope_s), 1e-18)
     reach_i = lobe / np.maximum(np.abs(slope_i), 1e-18)
     s_lo, s_hi = float(np.min(omega_s - reach_s)), float(np.max(omega_s + reach_s))
@@ -229,8 +230,8 @@ def adaptive_grid(pump: PumpSpec, fiber: FiberSpec, n_signal=256, n_idler=256, s
 def build_jsa(pump: PumpSpec, fiber: FiberSpec, grid: SpectralGrid):
     """Normalized joint spectral amplitude on `grid` (see `adaptive_grid`).
 
-    The phase mismatch includes the nonlinear term of the pump's peak power
-    (`resolve_peak_power`).
+    The phase mismatch includes the nonlinear term of the pump's
+    `peak_power`.
     """
     # Signal along axis 0, idler along axis 1; only the pump term needs the
     # full 2-D mesh, so k(omega_s) and k(omega_i) are evaluated once per axis.
@@ -241,9 +242,7 @@ def build_jsa(pump: PumpSpec, fiber: FiberSpec, grid: SpectralGrid):
         raise GridError(
             "grid misplaced: the pump function vanishes everywhere on the grid"
         )
-    amplitude = envelope * phasematch_function(
-        omega_s, omega_i, fiber, resolve_peak_power(pump)
-    )
+    amplitude = envelope * phasematch_function(omega_s, omega_i, fiber, pump.peak_power)
     norm_sq = np.sum(np.abs(amplitude) ** 2) * grid.signal_spacing * grid.idler_spacing
     if norm_sq == 0.0:
         raise GridError("grid misplaced: the joint amplitude vanishes on the grid")

@@ -45,17 +45,12 @@ from .material_optics import FiberSpec, chandrupatla
 __all__ = [
     "PumpSpec",
     "PhasematchPoint",
-    "resolve_peak_power",
     "delta_k",
     "solve_phasematch",
     "phasematch_curve",
     "ridge_slopes",
     "gvm_pump_wavelength",
 ]
-
-# Peak power of a transform-shaped Gaussian pulse: P_peak = E_pulse /
-# (FWHM * sqrt(pi / (4 ln 2))).
-GAUSSIAN_PULSE_SHAPE_FACTOR = float(np.sqrt(np.pi / (4.0 * np.log(2.0))))
 
 # Guard band keeping the solver away from the degenerate point [rad/s].
 DEGENERACY_GUARD = 2.0 * np.pi * 2.0e12
@@ -68,24 +63,20 @@ _SCAN_POINTS = 2000
 class PumpSpec:
     """Pulsed pump description.
 
-    All wavelength-like quantities in meters, powers in watts, times in
-    seconds.  Either give peak_power directly, or give the full
-    (average_power, repetition_rate, pulse_fwhm) triple, or neither (peak
-    power then defaults to zero).  filter_width is the full width of a
-    rectangular spectral filter applied after the pump laser; None means
-    unfiltered.  The field's support (`field_support`) must lie at positive
-    frequency: a filter_width of at least twice center_wavelength, or an
-    unfiltered Gaussian whose +-6 sigma window reaches zero frequency, is
-    rejected.
+    All wavelength-like quantities in meters, powers in watts.  peak_power
+    is the pump's peak power P in the self-phase-modulation term (2/3)
+    gamma P of the phase mismatch; finite and >= 0, default 0.
+    filter_width is the full width of a rectangular spectral filter applied
+    after the pump laser; None means unfiltered.  The field's support
+    (`field_support`) must lie at positive frequency: a filter_width of at
+    least twice center_wavelength, or an unfiltered Gaussian whose +-6 sigma
+    window reaches zero frequency, is rejected.
     """
 
     center_wavelength: float
     gaussian_fwhm: float  # intensity FWHM of the pump spectrum [m]
     filter_width: float | None = None
-    average_power: float | None = None
-    repetition_rate: float | None = None
-    pulse_fwhm: float | None = None
-    peak_power: float | None = None
+    peak_power: float = 0.0
 
     def __post_init__(self):
         for spec in fields(self):
@@ -106,20 +97,8 @@ class PumpSpec:
                 "gaussian_fwhm is too wide for an unfiltered pump: its +-6 sigma "
                 "window reaches zero frequency; give a filter_width"
             )
-        triple = (self.average_power, self.repetition_rate, self.pulse_fwhm)
-        given = [x is not None for x in triple]
-        if any(given) and not all(given):
-            raise ConfigError(
-                "average_power, repetition_rate and pulse_fwhm must be given together"
-            )
-        if all(given) and self.peak_power is not None:
-            raise ConfigError(
-                "give either peak_power or the average-power triple, not both"
-            )
-        for name in ("average_power", "repetition_rate", "pulse_fwhm", "peak_power"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigError(f"{name} must be positive when given")
+        if self.peak_power < 0:
+            raise ConfigError(f"peak_power must be >= 0, got {self.peak_power}")
 
     @property
     def center_omega(self):
@@ -166,22 +145,6 @@ class PhasematchPoint:
             raise ValueError("expected signal < pump < idler in wavelength")
 
 
-def resolve_peak_power(pump: PumpSpec):
-    """Pump peak power [W].
-
-    Uses peak_power when given; otherwise converts the average-power triple
-    assuming Gaussian pulses, P_peak = P_avg / (f_rep * t_fwhm * sqrt(pi/(4 ln 2)));
-    otherwise 0.
-    """
-    if pump.peak_power is not None:
-        return pump.peak_power
-    if pump.average_power is not None:
-        return pump.average_power / (
-            pump.repetition_rate * pump.pulse_fwhm * GAUSSIAN_PULSE_SHAPE_FACTOR
-        )
-    return 0.0
-
-
 def delta_k(omega_p, omega_s, omega_i, fiber: FiberSpec, peak_power=0.0, profile=None):
     """Phase mismatch dk [rad/m]; accepts scalars or broadcastable arrays.
 
@@ -226,11 +189,13 @@ def solve_phasematch(
     hi = np.minimum(band_hi, 2.0 * omega_p - band_lo)
     # Keep the idler in band under rounding.
     hi = np.where(2.0 * omega_p - hi < band_lo, np.nextafter(hi, lo), hi)
+    # A NaN pump fails both comparisons, so it is marked by the one mask.
+    empty = ~(hi > lo)
     failures = {
         k: f"empty signal search window for pump {pumps[k] * 1e9:.2f} nm"
-        for k in np.nonzero(hi <= lo)[0]
+        for k in np.nonzero(empty)[0]
     }
-    rows = np.nonzero(hi > lo)[0]
+    rows = np.nonzero(~empty)[0]
     omega_p = omega_p[rows]
 
     def mismatch(omega_s, omega_p):

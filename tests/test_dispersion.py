@@ -127,12 +127,18 @@ class TestPaperFiberProfile:
         profile = disp.axis_profile(fiber_40cm, disp.Axis.FAST)
         with pytest.raises(DomainError):
             disp.wavevector(profile.omegas[0] * 0.9, profile)
-        # The derivatives are valid over the whole span and nowhere beyond it.
+        # k, its derivatives and the index are valid over the whole span and
+        # nowhere beyond it.
         lo, hi = profile.omegas[0], profile.omegas[-1]
-        for derivative in (disp.inverse_group_velocity, disp.gvd):
+        for function in (
+            disp.wavevector,
+            disp.inverse_group_velocity,
+            disp.gvd,
+            lambda omega, profile: profile.index_at(omega),
+        ):
             for outside in (np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)):
                 with pytest.raises(DomainError):
-                    derivative(outside, profile)
+                    function(outside, profile)
 
     def test_profile_cache_returns_same_object(self, fiber_40cm):
         a = disp.axis_profile(fiber_40cm, disp.Axis.FAST)

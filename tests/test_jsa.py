@@ -179,7 +179,7 @@ class TestBuildJsa:
         jsa = jsamod.build_jsa(pump_40cm, fiber_40cm, grid=grid)
         om_s, om_i = np.meshgrid(grid.signal_omegas, grid.idler_omegas, indexing="ij")
         product = jsamod.pump_function(om_s + om_i, pump_40cm) * jsamod.phasematch_function(
-            om_s, om_i, fiber_40cm, jsamod.resolve_peak_power(pump_40cm)
+            om_s, om_i, fiber_40cm, pump_40cm.peak_power
         )
         assert np.array_equal(jsa.amplitude, _normalized_jsa(product, grid).amplitude)
 

@@ -12,48 +12,19 @@ from slope_reference import central_slopes
 
 
 class TestPumpSpec:
-    def test_partial_power_triple_rejected(self):
-        with pytest.raises(ConfigError):
-            pm.PumpSpec(783e-9, 20e-9, average_power=1e-3)
-
-    def test_peak_and_triple_conflict(self):
-        with pytest.raises(ConfigError):
-            pm.PumpSpec(
-                783e-9,
-                20e-9,
-                average_power=1e-3,
-                repetition_rate=76e6,
-                pulse_fwhm=1e-13,
-                peak_power=100.0,
-            )
-
     def test_negative_filter_rejected(self):
         with pytest.raises(ConfigError):
             pm.PumpSpec(783e-9, 20e-9, filter_width=-1e-9)
 
+    def test_peak_power_default_zero(self):
+        assert pm.PumpSpec(783e-9, 20e-9).peak_power == 0.0
 
-class TestResolvePeakPower:
-    def test_default_zero(self):
-        assert pm.resolve_peak_power(pm.PumpSpec(783e-9, 20e-9)) == 0.0
+    def test_zero_peak_power_accepted(self):
+        assert pm.PumpSpec(783e-9, 20e-9, peak_power=0.0).peak_power == 0.0
 
-    def test_explicit_peak_passthrough(self):
-        pump = pm.PumpSpec(783e-9, 20e-9, peak_power=12.5)
-        assert pm.resolve_peak_power(pump) == 12.5
-
-    def test_triple_arithmetic(self):
-        # 1.4 mW at 76 MHz with 100 fs pulses:
-        # P = 1.4e-3 / (76e6 * 1e-13 * sqrt(pi / (4 ln 2))) = 173.054 W.
-        pump = pm.PumpSpec(
-            783e-9,
-            20e-9,
-            average_power=1.4e-3,
-            repetition_rate=76e6,
-            pulse_fwhm=1e-13,
-        )
-        assert pm.resolve_peak_power(pump) == pytest.approx(173.0542355, rel=1e-8)
-
-    def test_shape_factor(self):
-        assert pm.GAUSSIAN_PULSE_SHAPE_FACTOR == pytest.approx(1.0644670194, rel=1e-9)
+    def test_negative_peak_power_rejected(self):
+        with pytest.raises(ConfigError, match="peak_power must be >= 0"):
+            pm.PumpSpec(783e-9, 20e-9, peak_power=-1.0)
 
 
 class TestDeltaK:
@@ -140,6 +111,9 @@ class TestSolvePhasematch:
         # Blue of the phasematched region no sideband pair exists.
         with pytest.raises(NoPhasematchError):
             pm.solve_phasematch(650e-9, fiber_40cm)
+        # A NaN pump has no search window: it fails `hi > lo` and `hi <= lo`.
+        with pytest.raises(NoPhasematchError, match="empty signal search window"):
+            pm.solve_phasematch(float("nan"), fiber_40cm)
 
     def test_array_matches_scalar_calls(self, fiber_40cm):
         pumps = np.linspace(765e-9, 795e-9, 31)
@@ -149,8 +123,8 @@ class TestSolvePhasematch:
             assert points[k] == pm.solve_phasematch(float(lam_p), fiber_40cm)
 
     def test_array_marks_pumps_without_solution(self, fiber_40cm):
-        points = pm.solve_phasematch(np.array([650e-9, 785e-9, 300e-9]), fiber_40cm)
-        assert points[0] is None and points[2] is None
+        points = pm.solve_phasematch(np.array([650e-9, 785e-9, 300e-9, np.nan]), fiber_40cm)
+        assert points[0] is None and points[2] is None and points[3] is None
         assert points[1] == pm.solve_phasematch(785e-9, fiber_40cm)
 
 
