@@ -71,12 +71,13 @@ class PhasematchMeasurement:
     sigma: float
 
     def __post_init__(self):
-        if self.pump_wavelength <= 0:
-            raise ValueError("pump_wavelength must be positive")
+        for name, value in vars(self).items():
+            if value is None and name in ("signal_wavelength", "idler_wavelength"):
+                continue
+            if value is None or not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if self.signal_wavelength is None and self.idler_wavelength is None:
             raise ValueError("at least one sideband wavelength is required")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
 
 
 @dataclass(frozen=True)

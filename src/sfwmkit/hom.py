@@ -47,7 +47,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HomModelParams:
-    """Interference model parameters: overlap p in [0, 1], offset chi [rad]."""
+    """Interference model parameters: overlap p in [0, 1], finite offset chi [rad]."""
 
     p: float
     chi: float = 0.0
@@ -55,6 +55,8 @@ class HomModelParams:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
+        if not np.isfinite(self.chi):
+            raise ValueError(f"chi must be finite, got {self.chi!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,28 +111,26 @@ def heralded_density_matrix(jsa: JointSpectralAmplitude):
     """Reduced density matrix of the heralded (idler) photon.
 
     rho(w_i, w_i') = sum_s f(w_s, w_i) conj(f(w_s, w_i')) dws, renormalized
-    to unit trace under the idler measure (Tr = sum_i rho_ii dwi = 1).
+    to unit trace under the idler measure, sum_i rho_ii dwi = 1 (dws cancels).
     """
     f = jsa.amplitude
-    rho = (f.T @ f.conj()) * jsa.grid.signal_spacing
-    trace = np.trace(rho).real * jsa.grid.idler_spacing
-    return rho / trace
+    return (f.T @ f.conj()) / (np.vdot(f, f).real * jsa.grid.idler_spacing)
 
 
 def overlap_p(jsa_h: JointSpectralAmplitude, jsa_v: JointSpectralAmplitude):
     """Heralded-state overlap p = Tr[rho_H rho_V] of two sources.
 
-    Both amplitudes must be sampled on the same idler axis.  overlap_p(jsa, jsa)
-    is Tr[rho^2], the Schmidt purity of jsa.
+    The amplitudes A, B must share the idler axis; spacings and traces cancel to
+    p = ||conj(A) B^T||_F^2 / (||A||_F^2 ||B||_F^2); overlap_p(jsa, jsa) is its purity.
     """
     gh, gv = jsa_h.grid, jsa_v.grid
     if len(gh.idler_omegas) != len(gv.idler_omegas) or not np.allclose(
         gh.idler_omegas, gv.idler_omegas, rtol=1e-12, atol=0.0
     ):
         raise ValueError("overlap requires identical idler axes")
-    rho_h = heralded_density_matrix(jsa_h)
-    rho_v = heralded_density_matrix(jsa_v)
-    return float(np.real(np.sum(rho_h * rho_v.T)) * gh.idler_spacing**2)
+    a, b = jsa_h.amplitude, jsa_v.amplitude
+    cross = a.conj() @ b.T
+    return float(np.vdot(cross, cross).real / (np.vdot(a, a).real * np.vdot(b, b).real))
 
 
 def four_fold_probability(theta, params: HomModelParams):

@@ -25,9 +25,9 @@ number u below min(V, j01); the FSM lies between n_silica and the first pole
 of its characteristic function, found once per geometry.
 
 ``chandrupatla``, a vectorised Chandrupatla root finder in plain numpy, is the
-one root finder of the package: the mode solvers, the sideband refine of
-``phasematch.solve_phasematch`` and the group-velocity-matched pump of
-``phasematch.gvm_pump_wavelength`` all call it.
+one iterative root finder: the mode solvers, ``phasematch.solve_phasematch``'s
+sideband refine, ``phasematch.gvm_pump_wavelength`` and ``hom.fit_purity``'s
+offset chi call it.  Zero-GVD wavelengths are cubic roots (``PPoly.roots``).
 
 ``he11_index_gradient`` gives the derivative of the HE11 index in the two
 geometry parameters by implicit differentiation of the HE11 and FSM roots;

@@ -81,7 +81,9 @@ class PumpSpec:
     def __post_init__(self):
         for spec in fields(self):
             value = getattr(self, spec.name)
-            if value is not None and not math.isfinite(value):
+            if value is None and spec.name == "filter_width":
+                continue
+            if value is None or not math.isfinite(value):
                 raise ConfigError(f"{spec.name} must be finite, got {value}")
         if self.center_wavelength <= 0 or self.gaussian_fwhm <= 0:
             raise ConfigError("pump center wavelength and FWHM must be positive")
@@ -281,7 +283,7 @@ def ridge_slopes(points, fiber: FiberSpec, profile=None):
 
 
 def gvm_pump_wavelength(
-    fiber: FiberSpec, search_range=(770e-9, 800e-9), peak_power=0.0
+    fiber: FiberSpec, search_range=(760e-9, 810e-9), peak_power=0.0
 ):
     """Pump wavelength [m] where slope_s of `ridge_slopes` vanishes.
 
@@ -293,7 +295,8 @@ def gvm_pump_wavelength(
     slope_s (NaN where a pump has no phasematch) at 16 pumps over the search
     range in one `solve_phasematch` call, then refines the first sign change
     with `chandrupatla` to 1e-12 m.  Raises NoGroupVelocityMatchError when
-    slope_s does not change sign or the root does not converge.
+    slope_s does not change sign or the root does not converge.  The default
+    760-810 nm holds the 768-794 nm pumps of cores 1.70-1.80 um, fill 0.49-0.53.
     """
 
     def slope_s(pumps):

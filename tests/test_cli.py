@@ -273,6 +273,8 @@ class TestExitCodes:
                 "duration.csv: duration must be finite and > 0, got -60.0",
             ),
             (["phasematch", "--range", "-5", "10"], "--range: pump wavelengths must be"),
+            (["hom-sim", "--p", "0.9", "--chi", "nan"], "hom-sim arguments: chi must be finite, got nan"),
+            (["hom-sim", "--p", "0.9", "--chi", "inf", "--noiseless"], "hom-sim arguments: chi must be finite, got inf"),
         ],
     )
     def test_user_errors_exit_one(self, config_path, tmp_path, capsys, argv, message):

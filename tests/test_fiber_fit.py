@@ -90,6 +90,12 @@ class TestLoadMeasurements:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             ff.load_measurements(path)
 
+    def test_non_positive_cell_names_line_and_field(self, tmp_path):
+        path = tmp_path / "meas.csv"
+        path.write_text("lambda_p_nm,lambda_s_nm,lambda_i_nm,sigma_nm\n785.0,726.9,853.2,-0.1\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: sigma must be finite and > 0"):
+            ff.load_measurements(path)
+
     def test_non_finite_cell_in_hom_counts(self, tmp_path):
         # The header hom-sim writes and hom-fit reads.
         header = ("theta_deg", "R_ABCD", "R_AB", "R_CD", "R_AD", "R_BC", "duration_s")
@@ -98,6 +104,24 @@ class TestLoadMeasurements:
         message = f"{path}:4: R_AB must be a finite number, got 'nan'"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             list(ff.read_csv(path, header))
+
+
+class TestPhasematchMeasurement:
+    @pytest.mark.parametrize(
+        "values, field",
+        [
+            ((np.nan, 727e-9, 853e-9, 1e-10), "pump_wavelength"),
+            ((None, 727e-9, 853e-9, 1e-10), "pump_wavelength"),
+            ((785e-9, np.inf, 853e-9, 1e-10), "signal_wavelength"),
+            ((785e-9, 727e-9, -np.inf, 1e-10), "idler_wavelength"),
+            ((785e-9, None, 0.0, 1e-10), "idler_wavelength"),
+            ((785e-9, 727e-9, 853e-9, np.nan), "sigma"),
+            ((785e-9, None, 853e-9, -1e-10), "sigma"),
+        ],
+    )
+    def test_bad_value_rejected_with_field(self, values, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and > 0, got"):
+            ff.PhasematchMeasurement(*values)
 
 
 class TestFitGeometry:

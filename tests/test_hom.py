@@ -12,9 +12,9 @@ THETAS = np.deg2rad(np.linspace(0.0, 90.0, 19))
 REP_RATE = 76e6
 
 
-def _gaussian_jsa(correlation, n=96, center_s=2.6e15, center_i=2.2e15):
+def _gaussian_jsa(correlation, n=96, center_s=2.6e15, center_i=2.2e15, n_signal=None):
     grid = jsamod.SpectralGrid(
-        signal_omegas=np.linspace(center_s - 5e13, center_s + 5e13, n),
+        signal_omegas=np.linspace(center_s - 5e13, center_s + 5e13, n_signal or n),
         idler_omegas=np.linspace(center_i - 5e13, center_i + 5e13, n),
     )
     om_s, om_i = np.meshgrid(grid.signal_omegas, grid.idler_omegas, indexing="ij")
@@ -64,6 +64,17 @@ class TestOverlap:
         p = hom.overlap_p(a, b)
         assert 0 < p <= 1
 
+    def test_matches_density_matrix_trace(self):
+        # Two different sources on one idler axis, with 96 and 128 signal
+        # samples over different signal spans: the closed form against its
+        # definition Tr[rho_a rho_b] from the density matrices.
+        a = _gaussian_jsa(0.7, n_signal=96)
+        b = _gaussian_jsa(-0.3, center_s=2.61e15, n_signal=128)
+        rho_a = hom.heralded_density_matrix(a)
+        rho_b = hom.heralded_density_matrix(b)
+        trace = np.real(np.sum(rho_a * rho_b.T)) * a.grid.idler_spacing**2
+        assert hom.overlap_p(a, b) == pytest.approx(trace, rel=1e-12)
+
     def test_mismatched_idler_axes_rejected(self):
         a = _gaussian_jsa(0.3)
         b = _gaussian_jsa(0.3, center_i=2.21e15)
@@ -107,6 +118,11 @@ class TestFourFoldProbability:
         values = hom.four_fold_probability(THETAS, params)
         assert values.min() == pytest.approx(0.5)
         assert values.max() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("chi", [np.nan, np.inf, -np.inf])
+    def test_non_finite_chi_rejected(self, chi):
+        with pytest.raises(ValueError, match="^chi must be finite, got"):
+            hom.HomModelParams(p=0.9, chi=chi)
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,13 @@ class TestPumpSpec:
         with pytest.raises(ConfigError, match="peak_power must be >= 0"):
             pm.PumpSpec(783e-9, 20e-9, peak_power=-1.0)
 
+    @pytest.mark.parametrize("field", ["center_wavelength", "gaussian_fwhm", "peak_power"])
+    def test_none_rejected(self, field):
+        # Only filter_width may be None (unfiltered).
+        values = {"center_wavelength": 783e-9, "gaussian_fwhm": 20e-9, field: None}
+        with pytest.raises(ConfigError, match=f"^{field} must be finite, got None$"):
+            pm.PumpSpec(**values)
+
 
 class TestDeltaK:
     def test_degenerate_zero_without_birefringence(self, fast_geometry):
@@ -202,6 +209,13 @@ class TestGvmPumpWavelength:
         fiber = FiberSpec(fast, slow, 99.0, 0.4, -1.607951856686876e-05)
         lam0 = pm.gvm_pump_wavelength(fiber, search_range=(760e-9, 810e-9))
         assert lam0 == pytest.approx(786.6667e-9, abs=1e-13)
+
+    def test_default_range_holds_design_box_corner(self):
+        # At core 1.70 um and fill 0.53 the GVM pump lies at 768.07 nm, below
+        # the 770 nm end of the old default range.
+        geometry = FiberAxisGeometry(1.70e-6, 0.53)
+        fiber = FiberSpec(geometry, geometry, 99.0, 0.4, -1.7e-5)
+        assert pm.gvm_pump_wavelength(fiber) == pytest.approx(768.07e-9, abs=0.01e-9)
 
     def test_peak_power_shifts_root(self, fiber_40cm):
         base = pm.gvm_pump_wavelength(fiber_40cm)
