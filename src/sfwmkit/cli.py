@@ -213,7 +213,7 @@ def _user_values(what):
 
 
 # Largest sample count on the command line, as for the grid in `parse_config`:
-# the phasematch scan holds 2000 signal samples (about 77 KB) per pump.
+# the phasematch scan holds 2000 signal samples and their dk (about 43 KB) per pump.
 _MAX_COUNT = 2048
 
 

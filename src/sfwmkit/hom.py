@@ -244,9 +244,10 @@ def fit_purity(data: HomDataset):
         fits.append(_fit_at(data, chi))
         return fits[-1].chi
 
-    if fit_at(0.0) > 0.0 and fit_at(np.pi / 4) < np.pi / 4:
+    f_lo = 0.0 - fit_at(0.0)
+    if f_lo < 0.0 and (f_hi := np.pi / 4 - fit_at(np.pi / 4)) > 0.0:
         root, ok = chandrupatla(
-            lambda x: x - [fit_at(v) for v in x], 0.0, np.pi / 4, xatol=1e-12
+            lambda x: x - [fit_at(v) for v in x], 0.0, np.pi / 4, xatol=1e-12, ends=(f_lo, f_hi)
         )
         if not ok:
             raise FitError("no self-consistent chi in [0, pi/4]")

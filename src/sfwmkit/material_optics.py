@@ -155,7 +155,7 @@ def _char_of_u(u, v):
         return u * j1(u) / j0(u) - w * k1(w) / k0(w)
 
 
-def chandrupatla(f, lo, hi, args=(), xatol=4 * _TINY):
+def chandrupatla(f, lo, hi, args=(), xatol=4 * _TINY, ends=None):
     """Roots of f(x, *args) in the brackets (lo, hi), elementwise over broadcast arrays.
 
     Chandrupatla's hybrid of inverse quadratic interpolation and bisection
@@ -167,7 +167,9 @@ def chandrupatla(f, lo, hi, args=(), xatol=4 * _TINY):
     bracket still changes sign, and the root lies strictly inside (lo, hi).
     The root is x where f(x) = 0; otherwise it lies strictly between the
     ends of the final bracket, so x itself may be an end of (lo, hi) when
-    the root is within tolerance of it.
+    the root is within tolerance of it.  ends, when given, are the values
+    (f(lo, *args), f(hi, *args)) that f returns at the bracket ends, for a
+    caller that already has them; f is then not evaluated there.
     """
     lo, hi, *args = np.broadcast_arrays(lo, hi, *args)
     x1, x2 = lo.astype(float).ravel(), hi.astype(float).ravel()
@@ -176,7 +178,10 @@ def chandrupatla(f, lo, hi, args=(), xatol=4 * _TINY):
     enclosed = np.zeros(x1.size, dtype=bool)  # final bracket f1 f2 < 0
     active, x3, f3 = np.arange(x1.size), None, None
     with np.errstate(all="ignore"):
-        f1, f2 = f(x1, *args), f(x2, *args)
+        if ends is None:
+            f1, f2 = f(x1, *args), f(x2, *args)
+        else:
+            f1, f2 = (np.broadcast_to(e, lo.shape).astype(float).ravel() for e in ends)
         for _ in range(_MAX_ITERATIONS):
             near = np.abs(f1) < np.abs(f2)
             xmin, fmin = np.where(near, x1, x2), np.where(near, f1, f2)
@@ -184,7 +189,7 @@ def chandrupatla(f, lo, hi, args=(), xatol=4 * _TINY):
             flip = np.sign(f1) * np.sign(f2)
             done = (np.abs(fmin) <= _TINY) | (dx < tol)
             stop = done | ~((flip < 0) & np.isfinite(dx))
-            if stop.any():
+            if stop.any() or not stop.size:  # an empty call stops at once
                 x[active[stop]] = np.where(done, xmin, np.nan)[stop]
                 ok[active[stop]] = (done & (flip <= 0))[stop]
                 enclosed[active[stop]] = (flip < 0)[stop]

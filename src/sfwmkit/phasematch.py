@@ -12,10 +12,10 @@ reflects the reduced cross-polarized self-phase-modulation contribution of
 the pump at peak power P.  Every caller takes dn at each pump frequency, from
 `dispersion.pump_birefringence`.
 
-solve_phasematch takes one pump or an array of them: one dk scan over all
-pumps brackets each sideband, and one vectorised ``chandrupatla`` call
-refines every bracket.  Tuning curves, the adaptive grid's ridge, the
-geometry fit's sidebands and the group-velocity-matched pump search each
+solve_phasematch takes one pump or an array of them: a dk scan outward from
+degeneracy stops at each pump's first sign change, and one vectorised
+``chandrupatla`` call refines every bracket.  Tuning curves, the adaptive
+grid's ridge, the geometry fit's sidebands and the GVM pump search each
 solve their pumps in one call.  ridge_slopes is the one place that computes
 the dk slopes at solved points: the adaptive grid's ridge, the GVM search,
 the geometry fit's Jacobian and figure 1a all read them from it.
@@ -57,6 +57,8 @@ DEGENERACY_GUARD = 2.0 * np.pi * 2.0e12
 
 # Signal samples of the dk scan that brackets the sideband nearest degeneracy.
 _SCAN_POINTS = 2000
+# Samples per block of that scan; a pump leaves the scan at its first sign change.
+_SCAN_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -174,18 +176,22 @@ def solve_phasematch(
 
     For every pump, scans dk over 2000 signal frequencies from just above the
     degeneracy guard (+2 THz) to the top of the profile band (capped so the
-    idler stays in band) and brackets the sign change nearest degeneracy;
-    one `chandrupatla` call then refines all brackets to 1e5 rad/s (well
-    below 1e-4 nm).  `delta_k` takes the birefringence at each pump, and a
-    root is accepted only if |dk| < 1e-3 rad/m.  A scalar pump gives a
-    PhasematchPoint or raises NoPhasematchError; an array gives a list with
-    one PhasematchPoint, or None where there is none, per pump.  An explicit
-    profile overrides the default full-resolution fast-axis profile.
+    idler stays in band), block by block up to the first sign change, which
+    brackets the sideband nearest degeneracy; one `chandrupatla` call then
+    refines all brackets to 1e5 rad/s (well below 1e-4 nm).  `delta_k` takes
+    the birefringence at each pump, and a root is accepted only if
+    |dk| < 1e-3 rad/m.  A scalar pump gives a PhasematchPoint or raises
+    NoPhasematchError; a 1-D array gives a list with one PhasematchPoint, or
+    None where there is none, per pump.  An explicit profile overrides the
+    default full-resolution fast-axis profile.
     """
     if profile is None:
         profile = axis_profile(fiber, Axis.FAST)
     pumps = np.atleast_1d(np.asarray(pump_wavelength, dtype=float))
-    omega_p = 2.0 * np.pi * C_LIGHT / pumps
+    if pumps.ndim > 1:
+        raise ValueError(f"pump_wavelength must be a scalar or 1-D, got shape {pumps.shape}")
+    with np.errstate(divide="ignore"):  # a zero pump has an empty window below
+        omega_p = 2.0 * np.pi * C_LIGHT / pumps
     band_lo, band_hi = profile.span
     lo = omega_p + DEGENERACY_GUARD
     hi = np.minimum(band_hi, 2.0 * omega_p - band_lo)
@@ -204,15 +210,28 @@ def solve_phasematch(
         return delta_k(omega_p, omega_s, 2.0 * omega_p - omega_s, fiber, peak_power, profile)
 
     omegas = np.linspace(lo[rows], hi[rows], _SCAN_POINTS, axis=-1)
-    values = mismatch(omegas, omega_p[:, None])
-    flips = np.sign(values[:, :-1]) * np.sign(values[:, 1:]) < 0
-    for r in np.nonzero(~flips.any(axis=1))[0]:
+    values = np.empty_like(omegas)
+    first = np.full(len(rows), -1)  # first sign change: the branch nearest degeneracy
+    pending = np.arange(len(rows))
+    for start in range(0, _SCAN_POINTS, _SCAN_BLOCK):
+        stop = start + _SCAN_BLOCK
+        values[pending, start:stop] = mismatch(omegas[pending, start:stop], omega_p[pending, None])
+        # One sample of overlap finds a sign change across the block boundary.
+        edge = max(start - 1, 0)
+        signs = np.sign(values[pending, edge:stop])
+        flips = signs[:, :-1] * signs[:, 1:] < 0
+        hit = flips.any(axis=1)
+        first[pending[hit]] = edge + flips[hit].argmax(axis=1)
+        pending = pending[~hit]
+        if not pending.size:
+            break
+    for r in pending:
         failures[rows[r]] = (
             f"no phasematched sideband for pump {pumps[rows[r]] * 1e9:.2f} nm "
             f"(dk range {values[r].min():.3g}..{values[r].max():.3g} rad/m)"
         )
-    found = np.nonzero(flips.any(axis=1))[0]
-    i = flips[found].argmax(axis=1)  # branch nearest degeneracy
+    found = np.nonzero(first >= 0)[0]
+    i = first[found]
     omega_p = omega_p[found]
     omega_s, ok = chandrupatla(
         mismatch, omegas[found, i], omegas[found, i + 1], (omega_p,), xatol=1e5
@@ -294,9 +313,11 @@ def gvm_pump_wavelength(
     term, so with dn = 0 this is plain group-velocity matching.  Scans
     slope_s (NaN where a pump has no phasematch) at 16 pumps over the search
     range in one `solve_phasematch` call, then refines the first sign change
-    with `chandrupatla` to 1e-12 m.  Raises NoGroupVelocityMatchError when
-    slope_s does not change sign or the root does not converge.  The default
-    760-810 nm holds the 768-794 nm pumps of cores 1.70-1.80 um, fill 0.49-0.53.
+    with `chandrupatla` to 1e-12 m, passing it the scan's slope_s at the
+    bracket ends so those two pumps are not solved again.  Raises
+    NoGroupVelocityMatchError when slope_s does not change sign or the root
+    does not converge.  The default 760-810 nm holds the 768-794 nm pumps of
+    cores 1.70-1.80 um, fill 0.49-0.53.
     """
 
     def slope_s(pumps):
@@ -312,7 +333,9 @@ def gvm_pump_wavelength(
             f"({lam_lo * 1e9:.1f}, {lam_hi * 1e9:.1f}) nm"
         )
     i = flips[0]
-    root, ok = chandrupatla(slope_s, grid[i], grid[i + 1], xatol=1e-12)
+    root, ok = chandrupatla(
+        slope_s, grid[i], grid[i + 1], xatol=1e-12, ends=(values[i], values[i + 1])
+    )
     if not ok:
         raise NoGroupVelocityMatchError(
             f"group-velocity-matched pump in ({grid[i] * 1e9:.2f}, "

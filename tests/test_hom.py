@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from scipy.optimize import least_squares
 
 from sfwmkit import hom
 from sfwmkit import jsa as jsamod
+from sfwmkit import material_optics as mo
 from sfwmkit.errors import FitError
 
 THETAS = np.deg2rad(np.linspace(0.0, 90.0, 19))
@@ -319,6 +322,18 @@ class TestFitPurity:
         assert result.sigma_chi == np.inf
         assert np.isfinite(result.sigma_p) and 0 < result.sigma_p < 0.05
         assert result.n_iterations == 1
+
+    def test_root_reuses_end_fits(self, monkeypatch):
+        # The fits at chi = 0 and pi/4 are the root's bracket-end values;
+        # fitting there again moves nothing but the fit count.
+        params = hom.HomModelParams(p=0.86, chi=0.07)
+        data = hom.simulate_counts(params, THETAS, 1.2e6, 60.0, REP_RATE, seed=2)
+        result = hom.fit_purity(data)
+        monkeypatch.setattr(
+            hom, "chandrupatla", lambda *args, ends=None, **kw: mo.chandrupatla(*args, **kw)
+        )
+        again = hom.fit_purity(data)
+        assert again == dataclasses.replace(result, n_iterations=result.n_iterations + 2)
 
     def test_empty_rows_are_self_consistent(self):
         # A few four-fold counts per row: five rows count none, and their

@@ -243,6 +243,9 @@ class TestChandrupatla:
         lo, hi = r - below, r + above
         x, ok = mo.chandrupatla(f, lo, hi, (r, a))
         assert ok.all()
+        # The values at the bracket ends, when passed, give the same roots.
+        with_ends, ok = mo.chandrupatla(f, lo, hi, (r, a), ends=(f(lo, r, a), f(hi, r, a)))
+        assert ok.all() and np.array_equal(with_ends, x)
         assert np.all(np.abs(x - r) <= 8 * np.spacing(np.abs(r)) + 4 * np.finfo(float).tiny)
         # Each root is frozen once converged: alone it comes out the same.
         for k in range(len(r)):
@@ -251,6 +254,12 @@ class TestChandrupatla:
         # A bracket that holds no sign change is reported, not trusted.
         x, ok = mo.chandrupatla(f, r + below, r + below + above, (r, a))
         assert not ok.any()
+
+    def test_empty_brackets_return_at_once(self):
+        calls = []
+        x, ok = mo.chandrupatla(lambda x: calls.append(x.size) or x, np.empty(0), np.empty(0))
+        assert x.shape == ok.shape == (0,)
+        assert len(calls) == 2
 
     def test_root_within_tolerance_of_bracket_end(self):
         # The estimate may be the bracket end; the root it stands for lies

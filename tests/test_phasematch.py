@@ -3,12 +3,31 @@ import dataclasses
 import numpy as np
 import pytest
 
+import scan_reference
+from sfwmkit import material_optics as mo
 from sfwmkit import phasematch as pm
 from sfwmkit.constants import C_LIGHT
-from sfwmkit.dispersion import Axis, axis_profile, birefringence, inverse_group_velocity
+from sfwmkit.dispersion import (
+    Axis,
+    DispersionProfile,
+    axis_profile,
+    birefringence,
+    inverse_group_velocity,
+)
 from sfwmkit.errors import ConfigError, NoGroupVelocityMatchError, NoPhasematchError
 from sfwmkit.material_optics import FiberAxisGeometry, FiberSpec
 from slope_reference import central_slopes
+
+
+def _solve_or_message(pumps, fiber, profile=None):
+    """Library points per pump, with the scalar call's message where there is none."""
+    out = pm.solve_phasematch(pumps, fiber, profile=profile)
+    for k, point in enumerate(out):
+        if point is None:
+            with pytest.raises(NoPhasematchError) as failure:
+                pm.solve_phasematch(float(pumps[k]), fiber, profile=profile)
+            out[k] = str(failure.value)
+    return out
 
 
 class TestPumpSpec:
@@ -129,10 +148,77 @@ class TestSolvePhasematch:
         for k, lam_p in enumerate(pumps):
             assert points[k] == pm.solve_phasematch(float(lam_p), fiber_40cm)
 
+    def test_more_than_one_dimension_rejected(self, fiber_40cm):
+        with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
+            pm.solve_phasematch(np.array([[780e-9, 785e-9]]), fiber_40cm)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_pump_has_empty_window(self, fiber_40cm):
+        with pytest.raises(NoPhasematchError, match="^empty signal search window for pump 0.00 nm$"):
+            pm.solve_phasematch(0.0, fiber_40cm)
+
     def test_array_marks_pumps_without_solution(self, fiber_40cm):
         points = pm.solve_phasematch(np.array([650e-9, 785e-9, 300e-9, np.nan]), fiber_40cm)
         assert points[0] is None and points[2] is None and points[3] is None
         assert points[1] == pm.solve_phasematch(785e-9, fiber_40cm)
+
+
+class TestScanMatchesReference:
+    """The outward block scan against the one-shot scan of `scan_reference`."""
+
+    FIG1A_PUMPS = np.linspace(700e-9, 1000e-9, 301)
+    CURVE_PUMPS = np.linspace(765e-9, 795e-9, 31)
+
+    def test_fig1a_pumps(self, fiber_40cm):
+        expected = scan_reference.solve(self.FIG1A_PUMPS, fiber_40cm)
+        assert sum(isinstance(e, str) for e in expected) == 41
+        assert _solve_or_message(self.FIG1A_PUMPS, fiber_40cm) == expected
+
+    @pytest.mark.parametrize("core", [1.70e-6, 1.80e-6])
+    @pytest.mark.parametrize("fill", [0.49, 0.53])
+    def test_design_box_corner(self, core, fill):
+        # The corners of the benchmark's design-sweep box, slow axis at the
+        # paper's offset from the fast one.
+        fast = FiberAxisGeometry(core, fill)
+        slow = FiberAxisGeometry(core - 1.5e-9, fill - 0.007)
+        fiber = FiberSpec(fast, slow, 99.0, 0.4, -1.7e-5)
+        expected = scan_reference.solve(self.CURVE_PUMPS, fiber)
+        assert _solve_or_message(self.CURVE_PUMPS, fiber) == expected
+
+    def test_fit_profile(self, fiber_40cm):
+        profile = DispersionProfile.from_geometry(fiber_40cm.fast_axis, n_points=192)
+        expected = scan_reference.solve(self.CURVE_PUMPS, fiber_40cm, profile=profile)
+        assert _solve_or_message(self.CURVE_PUMPS, fiber_40cm, profile) == expected
+
+    def test_no_override(self, fiber_no_override):
+        pumps = np.linspace(700e-9, 1000e-9, 61)
+        expected = scan_reference.solve(pumps, fiber_no_override)
+        assert _solve_or_message(pumps, fiber_no_override) == expected
+
+    @pytest.mark.parametrize("block", [2, 3, 2000])
+    def test_block_size_does_not_move_points(self, block, fiber_40cm, monkeypatch):
+        pumps = np.concatenate([[650e-9, 700e-9], self.CURVE_PUMPS, [950e-9]])
+        expected = pm.solve_phasematch(pumps, fiber_40cm)
+        monkeypatch.setattr(pm, "_SCAN_BLOCK", block)
+        assert pm.solve_phasematch(pumps, fiber_40cm) == expected
+
+    def test_scan_stops_at_first_sign_change(self, fiber_40cm, monkeypatch):
+        # 2000 samples a pump in the one-shot scan: 62,000 for this curve,
+        # 32,000 for the GVM search's 16 pumps, each before refinement.
+        pm.solve_phasematch(785e-9, fiber_40cm)  # build the profile uncounted
+        samples = [0]
+        delta_k = pm.delta_k
+
+        def counted(omega_p, omega_s, omega_i, *args):
+            samples[0] += np.broadcast(omega_p, omega_s, omega_i).size
+            return delta_k(omega_p, omega_s, omega_i, *args)
+
+        monkeypatch.setattr(pm, "delta_k", counted)
+        pm.solve_phasematch(self.CURVE_PUMPS, fiber_40cm)
+        assert samples[0] <= 20_000
+        samples[0] = 0
+        pm.gvm_pump_wavelength(fiber_40cm)
+        assert samples[0] <= 12_000
 
 
 class TestPhasematchCurve:
@@ -216,6 +302,23 @@ class TestGvmPumpWavelength:
         geometry = FiberAxisGeometry(1.70e-6, 0.53)
         fiber = FiberSpec(geometry, geometry, 99.0, 0.4, -1.7e-5)
         assert pm.gvm_pump_wavelength(fiber) == pytest.approx(768.07e-9, abs=0.01e-9)
+
+    def test_bracket_ends_not_solved_again(self, fiber_40cm, monkeypatch):
+        # The root takes slope_s at its bracket ends from the 16-pump scan;
+        # solving those two pumps again gives the same root.
+        solve = pm.solve_phasematch
+        calls = []
+        monkeypatch.setattr(
+            pm, "solve_phasematch", lambda *args, **kw: calls.append(1) or solve(*args, **kw)
+        )
+        root = pm.gvm_pump_wavelength(fiber_40cm)
+        reusing = len(calls)
+        monkeypatch.setattr(
+            pm, "chandrupatla", lambda *args, ends=None, **kw: mo.chandrupatla(*args, **kw)
+        )
+        calls.clear()
+        assert pm.gvm_pump_wavelength(fiber_40cm) == root
+        assert len(calls) == reusing + 2
 
     def test_peak_power_shifts_root(self, fiber_40cm):
         base = pm.gvm_pump_wavelength(fiber_40cm)
