@@ -3,8 +3,10 @@
 Every subcommand reads a strict JSON configuration (unknown keys are
 rejected, with the offending key path named), runs one computation, and
 writes CSV or JSON to --out or standard output.  All numbers are serialized
-with 12 significant digits and runs are fully deterministic, so identical
-config plus seed gives byte-identical output.
+with 12 significant digits, with three exceptions: `gvm` rounds its
+wavelength to 1e-3 nm, `fit-fiber` prints the geometry to 6 significant
+digits and `purity` rounds `purity_drift` to 1e-12.  Runs are fully
+deterministic, so identical config and arguments give byte-identical output.
 """
 
 import argparse
@@ -14,6 +16,7 @@ import importlib.resources
 import json
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,25 +53,6 @@ def _fmt(value):
 # Configuration
 # ---------------------------------------------------------------------------
 
-_AXIS_KEYS = {"core_diameter_um", "air_filling_fraction"}
-_FIBER_KEYS = {
-    "fast_axis",
-    "slow_axis",
-    "gamma_per_w_km",
-    "length_m",
-    "birefringence_override",
-}
-# Pump config key -> (PumpSpec field, factor to SI units).
-_PUMP_FIELDS = {
-    "center_wavelength_nm": ("center_wavelength", 1e-9),
-    "gaussian_fwhm_nm": ("gaussian_fwhm", 1e-9),
-    "filter_width_nm": ("filter_width", 1e-9),
-    "peak_power_w": ("peak_power", 1.0),
-}
-_PUMP_REQUIRED = {"center_wavelength_nm", "gaussian_fwhm_nm"}
-_GRID_KEYS = {"n_signal", "n_idler"}
-_TOP_KEYS = {"fiber", "pump", "grid", "seed"}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -76,20 +60,61 @@ class RunConfig:
     pump: PumpSpec
     n_signal: int
     n_idler: int
-    seed: int
 
 
-def _key_path(path, key):
-    return f"{path}.{key}" if path else key
+# A number in the config: the dataclass field it fills, its factor to SI units
+# or an integer's (default, minimum, maximum), and whether it is required.
+_Key = namedtuple("_Key", "field scale required", defaults=(1.0, False))
 
 
-def _reject_unknown(mapping, allowed, path):
+class _Section:
+    """An object in the config: the dataclass it builds, for the enclosing
+    one's field of the section's name, and its keys.  A section without a
+    dataclass may be absent, and its keys fill the enclosing dataclass."""
+
+    def __init__(self, build, **keys):
+        self.build, self.keys = build, keys
+
+
+_AXIS = _Section(
+    FiberAxisGeometry,
+    core_diameter_um=_Key("core_diameter", 1e-6, required=True),
+    air_filling_fraction=_Key("air_filling_fraction", required=True),
+)
+# The config's schema, shaped like the document, in the order its keys are
+# checked.
+_SCHEMA = _Section(
+    RunConfig,
+    fiber=_Section(
+        FiberSpec,
+        fast_axis=_AXIS,
+        slow_axis=_AXIS,
+        gamma_per_w_km=_Key("gamma", required=True),
+        length_m=_Key("length", required=True),
+        birefringence_override=_Key("birefringence_override"),
+    ),
+    pump=_Section(
+        PumpSpec,
+        center_wavelength_nm=_Key("center_wavelength", 1e-9, required=True),
+        gaussian_fwhm_nm=_Key("gaussian_fwhm", 1e-9, required=True),
+        filter_width_nm=_Key("filter_width", 1e-9),
+        peak_power_w=_Key("peak_power"),
+    ),
+    # A spectral grid axis needs at least 64 samples; `purity` doubles the
+    # grid, and 4096^2 complex amplitudes already take 268 MB.
+    grid=_Section(
+        None, n_signal=_Key("n_signal", (256, 64, 2048)), n_idler=_Key("n_idler", (256, 64, 2048))
+    ),
+)
+
+
+def _reject_unknown(mapping, allowed, prefix):
     for key in mapping:
         if key not in allowed:
-            raise ConfigError(f"unknown config key {_key_path(path, key)}")
+            raise ConfigError(f"unknown config key {prefix}{key}")
 
 
-def _number(mapping, key, path, required=True):
+def _number(mapping, key, path, required):
     """mapping[key] as a float; None if absent or null and not required.
 
     Only finite JSON numbers pass: NaN, Infinity, booleans and strings are
@@ -106,101 +131,76 @@ def _number(mapping, key, path, required=True):
                 return float(value)
         except OverflowError:
             pass
-    raise ConfigError(f"{_key_path(path, key)} must be a finite number, got {value!r}")
+    raise ConfigError(f"{path}.{key} must be a finite number, got {value!r}")
 
 
-def _integer(mapping, key, path, default, minimum=None, maximum=None):
+def _integer(mapping, key, path, default, minimum, maximum):
     """mapping.get(key, default) as an int; fractional values and values outside
     [`minimum`, `maximum`] are rejected."""
     value = mapping.get(key, default)
     if isinstance(value, bool) or not (
         isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     ):
-        raise ConfigError(f"{_key_path(path, key)} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{_key_path(path, key)} must be >= {minimum}, got {value!r}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{_key_path(path, key)} must be <= {maximum}, got {value!r}")
+        raise ConfigError(f"{path}.{key} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{path}.{key} must be >= {minimum}, got {value!r}")
+    if value > maximum:
+        raise ConfigError(f"{path}.{key} must be <= {maximum}, got {value!r}")
     return int(value)
 
 
-def _section(mapping, key, allowed):
-    section = mapping.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{key} must be an object")
-    _reject_unknown(section, allowed, key)
-    return section
-
-
-def _parse_axis(mapping, path):
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{path} must be an object")
-    _reject_unknown(mapping, _AXIS_KEYS, path)
-    core_um = _number(mapping, "core_diameter_um", path)
-    fill = _number(mapping, "air_filling_fraction", path)
-    try:
-        return FiberAxisGeometry(core_diameter=core_um * 1e-6, air_filling_fraction=fill)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+def _fields(section, mapping, path):
+    """The dataclass fields of `section` that the config object `mapping` at
+    `path` gives."""
+    fields = {}
+    for key, entry in section.keys.items():
+        if isinstance(entry, _Section):
+            key_path = f"{path}.{key}" if path else key
+            child = mapping.get(key, {} if entry.build is None else None)
+            if not isinstance(child, dict):
+                raise ConfigError(f"{key_path} must be an object")
+            _reject_unknown(child, entry.keys, key_path + ".")
+            values = _fields(entry, child, key_path)
+            if entry.build is None:
+                fields.update(values)
+            else:
+                with _user_values(key_path):
+                    fields[key] = entry.build(**values)
+        elif isinstance(entry.scale, tuple):
+            fields[entry.field] = _integer(mapping, key, path, *entry.scale)
+        elif (value := _number(mapping, key, path, entry.required)) is not None:
+            fields[entry.field] = value * entry.scale
+    return fields
 
 
 def parse_config(document):
     """Validate a parsed JSON document into a RunConfig."""
     if not isinstance(document, dict):
         raise ConfigError("config root must be a JSON object")
-    _reject_unknown(document, _TOP_KEYS, "")
-    for key in ("fiber", "pump"):
-        if key not in document:
+    _reject_unknown(document, _SCHEMA.keys, "")
+    for key, section in _SCHEMA.keys.items():
+        if section.build is not None and key not in document:
             raise ConfigError(f"missing config section {key}")
-
-    fiber_doc = _section(document, "fiber", _FIBER_KEYS)
-    fast = _parse_axis(fiber_doc.get("fast_axis"), "fiber.fast_axis")
-    slow = _parse_axis(fiber_doc.get("slow_axis"), "fiber.slow_axis")
-    gamma = _number(fiber_doc, "gamma_per_w_km", "fiber")
-    length = _number(fiber_doc, "length_m", "fiber")
-    dn = _number(fiber_doc, "birefringence_override", "fiber", required=False)
-    try:
-        fiber = FiberSpec(fast, slow, gamma, length, birefringence_override=dn)
-    except ValueError as exc:
-        raise ConfigError(f"fiber: {exc}") from None
-
-    pump_doc = _section(document, "pump", _PUMP_FIELDS)
-    pump_values = {}
-    for key, (name, scale) in _PUMP_FIELDS.items():
-        value = _number(pump_doc, key, "pump", required=key in _PUMP_REQUIRED)
-        if value is not None:
-            pump_values[name] = value * scale
-    try:
-        pump = PumpSpec(**pump_values)
-    except ValueError as exc:
-        raise ConfigError(f"pump: {exc}") from None
-
-    grid_doc = _section(document, "grid", _GRID_KEYS)
-
-    return RunConfig(
-        fiber=fiber,
-        pump=pump,
-        # A spectral grid axis needs at least 64 samples; `purity` doubles the
-        # grid, and 4096^2 complex amplitudes already take 268 MB.
-        n_signal=_integer(grid_doc, "n_signal", "grid", 256, minimum=64, maximum=2048),
-        n_idler=_integer(grid_doc, "n_idler", "grid", 256, minimum=64, maximum=2048),
-        seed=_integer(document, "seed", "", 0),
-    )
+    return RunConfig(**_fields(_SCHEMA, document, ""))
 
 
-def load_config(path):
-    """Load a RunConfig from a JSON file or a shipped preset name."""
+def _load_document(path):
+    """The JSON document of a config file or a shipped preset name."""
     try:
         with open(path) as handle:
-            document = json.load(handle)
+            return json.load(handle)
     except FileNotFoundError:
         resource = importlib.resources.files("sfwmkit.presets").joinpath(path)
         if not resource.is_file():
             raise ConfigError(f"config file {path} not found (and not a preset)") from None
-        document = json.loads(resource.read_text())
+        return json.loads(resource.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    return parse_config(document)
+
+
+def load_config(path):
+    """Load a RunConfig from a JSON file or a shipped preset name."""
+    return parse_config(_load_document(path))
 
 
 @contextlib.contextmanager
@@ -223,20 +223,6 @@ def _positive_count(text):
     if not 1 <= value <= _MAX_COUNT:
         raise argparse.ArgumentTypeError(f"must be in [1, {_MAX_COUNT}], got {value}")
     return value
-
-
-def _apply_overrides(config, args):
-    """Fold generic command-line overrides into the config."""
-    fiber, pump = config.fiber, config.pump
-    with _user_values("command-line override"):
-        if args.length_m is not None:
-            fiber = dataclasses.replace(fiber, length=args.length_m)
-        if args.pump_nm is not None:
-            pump = dataclasses.replace(pump, center_wavelength=args.pump_nm * 1e-9)
-    config = dataclasses.replace(config, fiber=fiber, pump=pump)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    return config
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +308,8 @@ def _cmd_gvm(config, args):
     return _json({"lambda_p0_nm": round(lam * 1e9, 3)})
 
 
-def _build_jsa_from_config(config, n_signal=None, n_idler=None):
-    grid = adaptive_grid(
-        config.pump, config.fiber, n_signal or config.n_signal, n_idler or config.n_idler
-    )
+def _build_jsa_from_config(config):
+    grid = adaptive_grid(config.pump, config.fiber, config.n_signal, config.n_idler)
     return build_jsa(config.pump, config.fiber, grid=grid)
 
 
@@ -343,11 +327,8 @@ def _cmd_jsa(config, args):
 
 def _cmd_purity(config, args):
     base = schmidt_decompose(_build_jsa_from_config(config))
-    refined = schmidt_decompose(
-        _build_jsa_from_config(
-            config, n_signal=2 * config.n_signal, n_idler=2 * config.n_idler
-        )
-    )
+    doubled = dataclasses.replace(config, n_signal=2 * config.n_signal, n_idler=2 * config.n_idler)
+    refined = schmidt_decompose(_build_jsa_from_config(doubled))
     drift = abs(refined.purity - base.purity)
     return _json(
         {
@@ -402,7 +383,7 @@ def _cmd_hom_sim(config, args):
             two_fold_mean=args.two_fold_mean,
             duration=args.duration,
             repetition_rate=args.rep_rate,
-            seed=config.seed,
+            seed=args.seed,
             noiseless=args.noiseless,
         )
     columns = {name: getattr(data, name) for name in _HOM_COLUMNS.values()}
@@ -473,11 +454,8 @@ def _build_parser():
     def common(p):
         p.add_argument("--config", required=True, help="JSON config file or preset name")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--length-m", type=float, default=None, help="override fiber length")
-        p.add_argument(
-            "--pump-nm", type=float, default=None, help="override pump center wavelength"
-        )
-        p.add_argument("--seed", type=int, default=None, help="override RNG seed")
+        p.add_argument("--length-m", type=float, default=None, help="set fiber.length_m")
+        p.add_argument("--pump-nm", type=float, default=None, help="set pump.center_wavelength_nm")
         return p
 
     p = common(sub.add_parser("dispersion", help="sampled dispersion tables per axis"))
@@ -516,6 +494,7 @@ def _build_parser():
     p.add_argument("--theta-start", type=float, default=0.0)
     p.add_argument("--theta-stop", type=float, default=90.0)
     p.add_argument("--theta-points", type=_positive_count, default=19)
+    p.add_argument("--seed", type=int, default=0, help="random seed of the counts")
     p.add_argument("--noiseless", action="store_true")
     p.set_defaults(func=_cmd_hom_sim)
 
@@ -534,7 +513,17 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        text = args.func(_apply_overrides(load_config(args.config), args), args)
+        document = _load_document(args.config)
+        # --length-m and --pump-nm set config keys that parse_config checks as
+        # any other; a document without the section is left for it to reject.
+        for section, key, value in (
+            ("fiber", "length_m", args.length_m),
+            ("pump", "center_wavelength_nm", args.pump_nm),
+        ):
+            if value is not None:
+                with contextlib.suppress(KeyError, TypeError):
+                    document[section][key] = value
+        text = args.func(parse_config(document), args)
         if args.out is None:
             sys.stdout.write(text)
         else:

@@ -161,18 +161,27 @@ def normalize_dataset(data: HomDataset, chi=0.0):
     a row with zero four-fold counts is zero here -- fitting replaces it
     with a model-based estimate.
     """
-    denom = _accidental_denominator(data)
-    kept = denom > 0
+    return _normalize(data, chi, _kept_rows(data))
+
+
+def _kept_rows(data: HomDataset):
+    """Rows with a nonzero accidental denominator.  If any is zero, warns at the
+    line that called the public function (`fit_purity`, `normalize_dataset`)."""
+    kept = _accidental_denominator(data) > 0
     if not np.all(kept):
         warnings.warn(
-            f"excluding {int(np.sum(~kept))} rows with zero two-fold coincidences",
-            stacklevel=2,
+            f"excluding {int(np.sum(~kept))} rows with zero two-fold coincidences", stacklevel=3
         )
+    return kept
+
+
+def _normalize(data: HomDataset, chi, kept):
+    """`normalize_dataset` of the rows `kept`, without its warning."""
     theta = data.theta[kept]
     n4 = data.four_fold[kept]
     nab, ncd = data.two_fold_ab[kept], data.two_fold_cd[kept]
     nad, nbc = data.two_fold_ad[kept], data.two_fold_bc[kept]
-    d = denom[kept]
+    d = _accidental_denominator(data)[kept]
     scale = _scale(data, kept, chi)
     p4 = n4 * scale
     # Poisson error propagation at first order: var(N) = N for every counter.
@@ -193,7 +202,7 @@ _CORNERS = np.array([[0.0, 1.0], [0.5, 0.5], [0.5, 0.0], [0.0, 0.0]])
 _Fit = namedtuple("_Fit", "p c chi x p4 sigma")
 
 
-def _fit_at(data: HomDataset, chi):
+def _fit_at(data: HomDataset, chi, kept):
     """Weighted fit of P4 = a0 + a1 cos^2(2 theta) to the data normalized at chi.
 
     a0 = (1 - p)/2 and a1 = (1 + p) cos^2(2 chi)/2 solve the 2x2 normal
@@ -201,7 +210,7 @@ def _fit_at(data: HomDataset, chi):
     its four clipped edge minima.  A row with zero four-fold counts has sigma^2
     = scale P4 at the fitted point, so it adds [1, x] / scale to the equations.
     """
-    theta, p4, sigma, kept = normalize_dataset(data, chi)
+    theta, p4, sigma, kept = _normalize(data, chi, kept)
     if len(theta) < 3:
         raise FitError("fewer than 3 usable rows after exclusion")
     x = np.cos(2.0 * theta) ** 2
@@ -239,9 +248,10 @@ def fit_purity(data: HomDataset):
     p_at_boundary flags p within 1e-9 of 0 or 1.
     """
     fits = []
+    kept = _kept_rows(data)
 
     def fit_at(chi):
-        fits.append(_fit_at(data, chi))
+        fits.append(_fit_at(data, chi, kept))
         return fits[-1].chi
 
     f_lo = 0.0 - fit_at(0.0)

@@ -1,11 +1,16 @@
+import contextlib
+import copy
 import dataclasses
 import importlib.resources
+import io
 import json
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +50,6 @@ def config_path(tmp_path):
             "filter_width_nm": 8.0,
         },
         "grid": {"n_signal": 128, "n_idler": 128},
-        "seed": 0,
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(document))
@@ -54,14 +58,26 @@ def config_path(tmp_path):
 
 class TestConfigParsing:
     def test_preset_loads(self):
-        config = cli.load_config("paper40cm.json")
-        assert config.fiber.length == 0.4
-        assert config.pump.center_wavelength == pytest.approx(783e-9)
-        assert config.fiber.birefringence_override == -1.7e-5
+        presets = importlib.resources.files("sfwmkit.presets")
+        assert sorted(p.name for p in presets.iterdir() if p.name.endswith(".json")) == [
+            "paper1m.json",
+            "paper40cm.json",
+        ]
+        for name, length, pump_nm in (("paper40cm.json", 0.4, 783.0), ("paper1m.json", 1.0, 780.7)):
+            config = cli.load_config(name)
+            assert config.fiber.length == length
+            assert config.pump.center_wavelength == pytest.approx(pump_nm * 1e-9)
+            assert config.fiber.birefringence_override == -1.7e-5
+            assert (config.n_signal, config.n_idler) == (256, 256)
 
     def test_unknown_top_key_rejected(self):
         with pytest.raises(ConfigError, match="mystery"):
             cli.parse_config({"fiber": {}, "pump": {}, "mystery": 1})
+        # `hom-sim --seed` gives the seed; the config has no such key.
+        document = _paper_document()
+        document["seed"] = 0
+        with pytest.raises(ConfigError, match="^unknown config key seed$"):
+            cli.parse_config(document)
 
     def test_unknown_nested_key_named_with_path(self):
         document = json.loads(
@@ -130,7 +146,6 @@ class TestStrictNumbers:
             ("pump.peak_power_w", float("nan")),
             ("grid.n_signal", 3.7),
             ("grid.n_idler", False),
-            ("seed", 0.5),
             ("grid.n_signal", -5),
             ("grid.n_idler", 63),
             ("grid.n_signal", 10**30),
@@ -244,6 +259,68 @@ class TestConfigFuzz:
         except ConfigError:
             return
         assert isinstance(config, cli.RunConfig)
+
+
+def _without(section):
+    document = _paper_document()
+    del document[section]
+    return document
+
+
+# Documents to set an override in, and the error each gives whatever the override.
+_OVERRIDE_DOCUMENTS = {
+    "preset": (_paper_document(), None),
+    "no-fiber": (_without("fiber"), "missing config section fiber"),
+    "no-pump": (_without("pump"), "missing config section pump"),
+    "fiber-not-object": ({**_paper_document(), "fiber": [0.4]}, "fiber must be an object"),
+    "root-not-object": ([1.0], "config root must be a JSON object"),
+}
+_OVERRIDE_FLAGS = {
+    "--length-m": ("fiber", "length_m"),
+    "--pump-nm": ("pump", "center_wavelength_nm"),
+}
+
+
+class TestOverrides:
+    @staticmethod
+    def _parsed(document, flags):
+        """main's exit code and stderr, and the RunConfig it passed to `gvm`."""
+        configs, stderr = [], io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_cmd_gvm", lambda config, args: configs.append(config) or "")
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as handle:
+                json.dump(document, handle)
+            with contextlib.redirect_stderr(stderr):
+                code = cli.main(["gvm", "--config", path, *flags])
+        return code, stderr.getvalue(), configs
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(sorted(_OVERRIDE_DOCUMENTS)),
+        flag=st.sampled_from(sorted(_OVERRIDE_FLAGS)),
+        value=st.sampled_from([0.0, -0.0, -1.0, 1e308, -1e308, 5e-324])
+        | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+        | st.floats(),
+    )
+    def test_flag_sets_its_config_key(self, name, flag, value):
+        # `--length-m x` and `--pump-nm x` parse as `x` written into the
+        # config, into fiber.length_m and pump.center_wavelength_nm, and give
+        # the same RunConfig or the same exit-1 error.  A document without the
+        # section keeps its own error.
+        document, error = _OVERRIDE_DOCUMENTS[name]
+        written = copy.deepcopy(document)
+        section, key = _OVERRIDE_FLAGS[flag]
+        if error is None:
+            written[section][key] = value
+        flagged = self._parsed(document, [f"{flag}={value!r}"])
+        assert flagged == self._parsed(written, [])
+        code, stderr, configs = flagged
+        assert (code, bool(configs)) in ((0, True), (1, False))
+        if error is not None:
+            assert stderr == f"error: {error}\n"
+        elif not math.isfinite(value):
+            assert stderr == f"error: {section}.{key} must be a finite number, got {value!r}\n"
 
 
 class TestExitCodes:
@@ -563,9 +640,8 @@ class TestSubcommands:
         assert out.splitlines()[1:] == expected
 
     def test_fig1a_correlation_column(self, config_path, capsys):
-        code, out, _ = _run(
-            ["figure", "--config", config_path, "--id", "fig1a"], capsys
-        )
+        with pytest.warns(UserWarning, match="no phasematch for 41 of 301"):
+            code, out, _ = _run(["figure", "--config", config_path, "--id", "fig1a"], capsys)
         assert code == 0
         labels = {line.split(",")[-1] for line in out.strip().splitlines()[1:]}
         assert labels <= {"correlated", "anticorrelated"}
@@ -574,7 +650,8 @@ class TestSubcommands:
     def test_fig1a_label_flips_at_gvm_pump(self, capsys):
         # The ridge tilt changes sign where slope_s does, at the
         # group-velocity-matched pump, and nowhere else in 700-1000 nm.
-        code, out, _ = _run(["figure", "--config", "paper40cm.json", "--id", "fig1a"], capsys)
+        with pytest.warns(UserWarning, match="no phasematch for 41 of 301"):
+            code, out, _ = _run(["figure", "--config", "paper40cm.json", "--id", "fig1a"], capsys)
         assert code == 0
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         flips = [k for k in range(len(rows) - 1) if rows[k][-1] != rows[k + 1][-1]]
@@ -661,6 +738,15 @@ def _readme_command_line():
     return readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
 
 
+def _schema_keys(section, prefix=""):
+    """(key path, required) of every number in the parser's schema."""
+    for key, entry in section.keys.items():
+        if isinstance(entry, cli._Section):
+            yield from _schema_keys(entry, f"{prefix}{key}.")
+        else:
+            yield prefix + key, entry.required
+
+
 class TestReadme:
     def test_command_line_block_parses(self):
         # Every `sfwmkit ...` line of README's Command line block parses, so
@@ -677,20 +763,11 @@ class TestReadme:
                 pytest.fail(f"README line does not parse: {line}")
 
     def test_config_key_table_matches_schema(self):
-        # README's key table lists every config key path once, as the
-        # parser's schema tables define them.
-        listed = re.findall(r"^\| `([\w.]+)` \|", _readme_command_line(), re.MULTILINE)
-        sections = {"fiber": cli._FIBER_KEYS, "pump": cli._PUMP_FIELDS, "grid": cli._GRID_KEYS}
-        expected = []
-        for top in cli._TOP_KEYS:
-            for key in sections.get(top, [None]):
-                path = top if key is None else f"{top}.{key}"
-                if key in ("fast_axis", "slow_axis"):
-                    expected += [f"{path}.{name}" for name in cli._AXIS_KEYS]
-                else:
-                    expected.append(path)
-        assert len(listed) == len(set(listed))
-        assert set(listed) == set(expected)
+        # README's key table lists every key of the parser's schema once, and
+        # its "if absent" column reads `required` exactly where the schema does.
+        rows = re.findall(r"^\| `([\w.]+)` \| .* \| (.*) \|$", _readme_command_line(), re.MULTILINE)
+        assert len(rows) == len(dict(rows))
+        assert {path: absent == "required" for path, absent in rows} == dict(_schema_keys(cli._SCHEMA))
 
 
 class TestDeterminism:

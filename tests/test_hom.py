@@ -218,8 +218,10 @@ class TestNormalizeDataset:
             duration=np.array([10.0, 10.0]),
             repetition_rate=1e6,
         )
-        with pytest.warns(UserWarning, match="zero two-fold"):
+        with pytest.warns(UserWarning, match="zero two-fold") as record:
             theta, p4, sigma, kept = hom.normalize_dataset(data)
+        assert len(record) == 1
+        assert record[0].filename == __file__
         assert kept.tolist() == [True, False]
         assert len(p4) == 1
 
@@ -266,6 +268,22 @@ class TestFitPurity:
         assert result.p == pytest.approx(0.86, abs=1e-6)
         assert result.chi == pytest.approx(0.07, abs=1e-6)
         assert not result.p_at_boundary
+
+    def test_excluded_rows_warn_once_for_the_caller(self):
+        # However many fits at fixed chi one fit_purity runs, it warns once,
+        # at the line that called it, not at a line in hom.py.
+        params = hom.HomModelParams(p=0.86, chi=0.07)
+        data = hom.simulate_counts(params, THETAS, 1.2e6, 60.0, REP_RATE, seed=1)
+        columns = ("two_fold_ab", "two_fold_cd", "two_fold_ad", "two_fold_bc")
+        row = np.arange(len(THETAS)) == 4
+        zeroed = {name: np.where(row, 0.0, getattr(data, name)) for name in columns}
+        with pytest.warns(UserWarning) as record:
+            result = hom.fit_purity(dataclasses.replace(data, **zeroed))
+        assert result.n_iterations > 2
+        assert [str(w.message) for w in record] == [
+            "excluding 1 rows with zero two-fold coincidences"
+        ]
+        assert record[0].filename == __file__
 
     def test_noisy_recovery_within_errors(self):
         params = hom.HomModelParams(p=0.86, chi=0.07)
