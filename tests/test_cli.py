@@ -73,9 +73,12 @@ class TestConfigParsing:
     def test_unknown_top_key_rejected(self):
         with pytest.raises(ConfigError, match="mystery"):
             cli.parse_config({"fiber": {}, "pump": {}, "mystery": 1})
+
+    @pytest.mark.parametrize("value", [0, 0.5])
+    def test_seed_key_rejected_as_unknown(self, value):
         # `hom-sim --seed` gives the seed; the config has no such key.
         document = _paper_document()
-        document["seed"] = 0
+        document["seed"] = value
         with pytest.raises(ConfigError, match="^unknown config key seed$"):
             cli.parse_config(document)
 
