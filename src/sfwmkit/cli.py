@@ -63,8 +63,19 @@ class RunConfig:
 
 
 # A number in the config: the dataclass field it fills, its factor to SI units
-# or an integer's (default, minimum, maximum), and whether it is required.
-_Key = namedtuple("_Key", "field scale required", defaults=(1.0, False))
+# or an integer's (default, minimum, maximum), whether it is required, and the
+# range of a float in the config's own units.
+_Key = namedtuple("_Key", "field scale required range", defaults=(1.0, False, None))
+# Ranges: the text of the rule and its test.
+_POSITIVE = ("> 0", lambda value: value > 0)
+_NONNEGATIVE = (">= 0", lambda value: value >= 0)
+_FRACTION = ("in (0, 1)", lambda value: 0 < value < 1)
+
+# Largest sample count: of a spectral grid axis, as `purity` doubles the grid
+# and 4096^2 complex amplitudes already take 268 MB; and on the command line,
+# as the phasematch scan holds 2000 signal samples and their dk (about 43 KB)
+# per pump.
+_MAX_COUNT = 2048
 
 
 class _Section:
@@ -78,8 +89,8 @@ class _Section:
 
 _AXIS = _Section(
     FiberAxisGeometry,
-    core_diameter_um=_Key("core_diameter", 1e-6, required=True),
-    air_filling_fraction=_Key("air_filling_fraction", required=True),
+    core_diameter_um=_Key("core_diameter", 1e-6, True, _POSITIVE),
+    air_filling_fraction=_Key("air_filling_fraction", 1.0, True, _FRACTION),
 )
 # The config's schema, shaped like the document, in the order its keys are
 # checked.
@@ -89,21 +100,22 @@ _SCHEMA = _Section(
         FiberSpec,
         fast_axis=_AXIS,
         slow_axis=_AXIS,
-        gamma_per_w_km=_Key("gamma", required=True),
-        length_m=_Key("length", required=True),
+        gamma_per_w_km=_Key("gamma", 1.0, True, _NONNEGATIVE),
+        length_m=_Key("length", 1.0, True, _POSITIVE),
         birefringence_override=_Key("birefringence_override"),
     ),
     pump=_Section(
         PumpSpec,
-        center_wavelength_nm=_Key("center_wavelength", 1e-9, required=True),
-        gaussian_fwhm_nm=_Key("gaussian_fwhm", 1e-9, required=True),
-        filter_width_nm=_Key("filter_width", 1e-9),
-        peak_power_w=_Key("peak_power"),
+        center_wavelength_nm=_Key("center_wavelength", 1e-9, True, _POSITIVE),
+        gaussian_fwhm_nm=_Key("gaussian_fwhm", 1e-9, True, _POSITIVE),
+        filter_width_nm=_Key("filter_width", 1e-9, range=_POSITIVE),
+        peak_power_w=_Key("peak_power", range=_NONNEGATIVE),
     ),
-    # A spectral grid axis needs at least 64 samples; `purity` doubles the
-    # grid, and 4096^2 complex amplitudes already take 268 MB.
+    # A spectral grid axis needs at least 64 samples.
     grid=_Section(
-        None, n_signal=_Key("n_signal", (256, 64, 2048)), n_idler=_Key("n_idler", (256, 64, 2048))
+        None,
+        n_signal=_Key("n_signal", (256, 64, _MAX_COUNT)),
+        n_idler=_Key("n_idler", (256, 64, _MAX_COUNT)),
     ),
 )
 
@@ -169,6 +181,8 @@ def _fields(section, mapping, path):
         elif isinstance(entry.scale, tuple):
             fields[entry.field] = _integer(mapping, key, path, *entry.scale)
         elif (value := _number(mapping, key, path, entry.required)) is not None:
+            if entry.range and not entry.range[1](value):
+                raise ConfigError(f"{path}.{key} must be {entry.range[0]}, got {mapping[key]!r}")
             fields[entry.field] = value * entry.scale
     return fields
 
@@ -210,11 +224,6 @@ def _user_values(what):
         yield
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from None
-
-
-# Largest sample count on the command line, as for the grid in `parse_config`:
-# the phasematch scan holds 2000 signal samples and their dk (about 43 KB) per pump.
-_MAX_COUNT = 2048
 
 
 def _positive_count(text):
@@ -268,17 +277,17 @@ def _cmd_dispersion(config, args):
     rows = []
     for axis in (Axis.FAST, Axis.SLOW):
         profile = axis_profile(config.fiber, axis)
-        for om in np.linspace(*profile.span, args.points):
-            rows.append(
-                (
-                    2e9 * np.pi * C_LIGHT / om,
-                    axis.value,
-                    profile.index_at(om),
-                    wavevector(om, profile),
-                    inverse_group_velocity(om, profile),
-                    gvd(om, profile),
-                )
+        om = np.linspace(*profile.span, args.points)
+        rows.extend(
+            zip(
+                2e9 * np.pi * C_LIGHT / om,
+                [axis.value] * len(om),
+                profile.index_at(om),
+                wavevector(om, profile),
+                inverse_group_velocity(om, profile),
+                gvd(om, profile),
             )
+        )
     return _csv(("wavelength_nm", "axis", "n_eff", "k", "dk_domega", "d2k_domega2"), rows)
 
 

@@ -165,7 +165,6 @@ class _Model:
     """
 
     def __init__(self, x, measurements, birefringence):
-        self.measurements = measurements
         self.geometry = FiberAxisGeometry(core_diameter=x[0] * 1e-6, air_filling_fraction=x[1])
         pumps = np.array([m.pump_wavelength for m in measurements])
         try:
@@ -182,27 +181,19 @@ class _Model:
             self.points = solve_phasematch(pumps, self.fiber, profile=self.profile)
         except (ModeCutoffError, DomainError):
             self.profile, self.points = None, [None] * len(measurements)
-        residuals, self.penalized = [], 0
-        for _, observed, model, _, sigma in self._observed():
-            if model is None:
-                residuals.append(PENALTY_RESIDUAL)
-                self.penalized += 1
-            else:
-                residuals.append((model - observed) / sigma)
-        self.residuals = np.asarray(residuals)
-
-    def _observed(self):
-        """(row, observed, model, sign, sigma) per observed sideband; model None if penalized.
-
-        sign is +1 for a signal and -1 for an idler, the sign of dlambda/dw_s.
-        """
-        for r, (m, point) in enumerate(zip(self.measurements, self.points)):
-            for observed, model, sign in (
-                (m.signal_wavelength, point and point.signal_wavelength, 1.0),
-                (m.idler_wavelength, point and point.idler_wavelength, -1.0),
-            ):
-                if observed is not None:
-                    yield r, observed, model, sign, m.sigma
+        # The (n, 2) tables of observed and model sidebands, signal in column 0
+        # and NaN for none; `_index` lists the observed ones, a row's signal first.
+        observed, model = (
+            np.array([(r and r.signal_wavelength, r and r.idler_wavelength) for r in rows], float)
+            for rows in (measurements, self.points)
+        )
+        self._index = np.nonzero(~np.isnan(observed))
+        self._sigma = np.array([m.sigma for m in measurements])[self._index[0]]
+        self._model = model[self._index]
+        self._unsolved = np.isnan(self._model)
+        self.penalized = int(np.sum(self._unsolved))
+        residuals = (self._model - observed[self._index]) / self._sigma
+        self.residuals = np.where(self._unsolved, PENALTY_RESIDUAL, residuals)
 
     @functools.cached_property
     def jacobian(self):
@@ -227,12 +218,13 @@ class _Model:
             dn[:, 0] *= 1e-6  # x[0] is in um
             k_p, k_s, k_i = np.split(dn * (omegas / C_LIGHT)[:, None], 3)
             d_omega_s[found] = -(2.0 * k_p - k_s - k_i) / (slope_s - slope_i)[found, None]
-        return np.array(
-            [
-                np.zeros(2) if model is None else -sign * model**2 / _TWO_PI_C * d_omega_s[r] / sigma
-                for r, _, model, sign, sigma in self._observed()
-            ]
-        )
+        # dw_i/dx = -dw_s/dx gives an idler row the opposite sign; float_power
+        # squares by the C library's pow, as a float's ** does (numpy's ** 2
+        # multiplies, which differs in the last bit about 1 in 1000).
+        rows, cols = self._index
+        factor = (2.0 * cols - 1.0) * np.float_power(self._model, 2) / _TWO_PI_C
+        jac = factor[:, None] * d_omega_s[rows] / self._sigma[:, None]
+        return np.where(self._unsolved[:, None], 0.0, jac)
 
 
 def fit_geometry(measurements, initial_guess=None, birefringence=0.0, n_starts=5):

@@ -140,18 +140,6 @@ def four_fold_probability(theta, params: HomModelParams):
     return float(value) if np.ndim(theta) == 0 else value
 
 
-def _accidental_denominator(data: HomDataset):
-    return data.two_fold_ab * data.two_fold_cd + data.two_fold_ad * data.two_fold_bc
-
-
-def _scale(data: HomDataset, kept, chi):
-    """P4 / N4 of the kept rows at offset chi: the normalization of the counts."""
-    denom = _accidental_denominator(data)[kept]
-    rd = data.repetition_rate * data.duration[kept]
-    cc = np.cos(2.0 * chi) ** 2 * np.cos(2.0 * data.theta[kept]) ** 2
-    return (1.0 + cc) * rd / (2.0 * denom)
-
-
 def normalize_dataset(data: HomDataset, chi=0.0):
     """Normalized four-fold probabilities and first-order Poisson sigmas.
 
@@ -161,13 +149,15 @@ def normalize_dataset(data: HomDataset, chi=0.0):
     a row with zero four-fold counts is zero here -- fitting replaces it
     with a model-based estimate.
     """
-    return _normalize(data, chi, _kept_rows(data))
+    kept = _kept_rows(data)
+    p4, sigma, _, _ = _normalize(data, chi, kept)
+    return data.theta[kept], p4, sigma, kept
 
 
 def _kept_rows(data: HomDataset):
     """Rows with a nonzero accidental denominator.  If any is zero, warns at the
     line that called the public function (`fit_purity`, `normalize_dataset`)."""
-    kept = _accidental_denominator(data) > 0
+    kept = data.two_fold_ab * data.two_fold_cd + data.two_fold_ad * data.two_fold_bc > 0
     if not np.all(kept):
         warnings.warn(
             f"excluding {int(np.sum(~kept))} rows with zero two-fold coincidences", stacklevel=3
@@ -176,13 +166,14 @@ def _kept_rows(data: HomDataset):
 
 
 def _normalize(data: HomDataset, chi, kept):
-    """`normalize_dataset` of the rows `kept`, without its warning."""
-    theta = data.theta[kept]
+    """`normalize_dataset`'s P4 and sigma of the rows `kept`, and their P4 / N4 and cos^2(2 theta)."""
     n4 = data.four_fold[kept]
     nab, ncd = data.two_fold_ab[kept], data.two_fold_cd[kept]
     nad, nbc = data.two_fold_ad[kept], data.two_fold_bc[kept]
-    d = _accidental_denominator(data)[kept]
-    scale = _scale(data, kept, chi)
+    d = nab * ncd + nad * nbc  # the accidental denominator
+    rd = data.repetition_rate * data.duration[kept]
+    x = np.cos(2.0 * data.theta[kept]) ** 2
+    scale = (1.0 + np.cos(2.0 * chi) ** 2 * x) * rd / (2.0 * d)
     p4 = n4 * scale
     # Poisson error propagation at first order: var(N) = N for every counter.
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -191,7 +182,7 @@ def _normalize(data: HomDataset, chi, kept):
             (p4 / d) ** 2 * (ncd**2 * nab + nab**2 * ncd + nbc**2 * nad + nad**2 * nbc),
             0.0,
         )
-    return theta, p4, np.sqrt(var), kept
+    return p4, np.sqrt(var), scale, x
 
 
 # Corners of the (a0, a1) polygon where p and cos^2(2 chi) lie in [0, 1]; on
@@ -210,11 +201,9 @@ def _fit_at(data: HomDataset, chi, kept):
     its four clipped edge minima.  A row with zero four-fold counts has sigma^2
     = scale P4 at the fitted point, so it adds [1, x] / scale to the equations.
     """
-    theta, p4, sigma, kept = _normalize(data, chi, kept)
-    if len(theta) < 3:
+    p4, sigma, scale, x = _normalize(data, chi, kept)
+    if len(x) < 3:
         raise FitError("fewer than 3 usable rows after exclusion")
-    x = np.cos(2.0 * theta) ** 2
-    scale = _scale(data, kept, chi)
     empty = data.four_fold[kept] == 0
     basis = np.stack([np.ones_like(x), x])
     weighted = basis[:, ~empty] / sigma[~empty] ** 2

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import dataclasses
@@ -19,6 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfwmkit import cli
+from sfwmkit.constants import C_LIGHT
+from sfwmkit.dispersion import Axis, axis_profile, gvd, inverse_group_velocity, wavevector
 from sfwmkit.errors import ConfigError
 from sfwmkit.hom import HomDataset, HomModelParams, simulate_counts
 from sfwmkit.jsa import adaptive_grid, build_jsa, schmidt_decompose
@@ -135,6 +138,17 @@ def _paper_document():
     )
 
 
+def _paper_document_with(path, value):
+    """The paper40cm document with the key at the dotted `path` set to `value`."""
+    document = _paper_document()
+    *parents, key = path.split(".")
+    section = document
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    return document
+
+
 class TestStrictNumbers:
     @pytest.mark.parametrize(
         "path, value",
@@ -156,14 +170,8 @@ class TestStrictNumbers:
         ],
     )
     def test_bad_value_rejected_with_key_path(self, path, value):
-        document = _paper_document()
-        *parents, key = path.split(".")
-        section = document
-        for name in parents:
-            section = section[name]
-        section[key] = value
         with pytest.raises(ConfigError, match=f"^{re.escape(path)} "):
-            cli.parse_config(document)
+            cli.parse_config(_paper_document_with(path, value))
 
     @pytest.mark.parametrize("key, value", [("n_signal", 64), ("n_idler", 64)])
     def test_grid_minimum_accepted(self, key, value):
@@ -177,11 +185,38 @@ class TestStrictNumbers:
         document["grid"][key] = 2048
         assert getattr(cli.parse_config(document), key) == 2048
 
+    @pytest.mark.parametrize(
+        "path, value, rule",
+        [
+            ("fiber.fast_axis.core_diameter_um", -1.75, "> 0"),
+            ("fiber.slow_axis.air_filling_fraction", 1, "in (0, 1)"),
+            ("fiber.gamma_per_w_km", -99.0, ">= 0"),
+            ("fiber.length_m", 0, "> 0"),
+            ("pump.center_wavelength_nm", -783.0, "> 0"),
+            ("pump.gaussian_fwhm_nm", 0.0, "> 0"),
+            ("pump.filter_width_nm", -8, "> 0"),
+            ("pump.peak_power_w", -0.5, ">= 0"),
+        ],
+    )
+    def test_out_of_range_named_by_key_as_given(self, tmp_path, capsys, path, value, rule):
+        # The range is checked in the config's own units, before the spec
+        # dataclass sees the SI value.
+        document = _paper_document_with(path, value)
+        code, out, err = _run(["gvm", "--config", _write_config(tmp_path, document)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path} must be {rule}, got {value!r}\n"
+
     def test_json_nan_literal_rejected_on_load(self, tmp_path):
         path = tmp_path / "nan.json"
         text = json.dumps(_paper_document()).replace('"length_m": 0.4', '"length_m": NaN')
         path.write_text(text)
         with pytest.raises(ConfigError, match=r"fiber\.length_m"):
+            cli.load_config(str(path))
+
+    def test_invalid_json_rejected_on_load(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"fiber": ')
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: invalid JSON: "):
             cli.load_config(str(path))
 
     def test_integral_float_accepted(self):
@@ -335,8 +370,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["gvm", "--length-m", "-1"], "length must be finite and > 0"),
-            (["gvm", "--pump-nm", "-783"], "must be positive"),
+            (["gvm", "--length-m", "-1"], "fiber.length_m must be > 0, got -1.0"),
+            (["gvm", "--pump-nm", "-783"], "pump.center_wavelength_nm must be > 0"),
             (["purity-scan", "--lengths", "1", "0"], "--lengths: length"),
             (["hom-sim", "--p", "1.5"], "p must be in"),
             (["gvm", "--out", "{tmp}/no-such-dir/x.json"], "no-such-dir"),
@@ -494,6 +529,28 @@ class TestSubcommands:
         assert len(lines) == 1 + 2 * 7  # both axes
         assert any(",fast," in line for line in lines[1:])
         assert any(",slow," in line for line in lines[1:])
+
+    def test_dispersion_rows_are_the_scalar_values(self, config_path, monkeypatch):
+        # Each column is evaluated on the whole sample array; every value is
+        # the scalar call's at the same frequency, bit for bit.
+        config = cli.load_config(config_path)
+        monkeypatch.setattr(cli, "_csv", lambda header, rows: list(rows))
+        rows = cli._cmd_dispersion(config, argparse.Namespace(points=9))
+        expected = []
+        for axis in (Axis.FAST, Axis.SLOW):
+            profile = axis_profile(config.fiber, axis)
+            for om in np.linspace(*profile.span, 9):
+                expected.append(
+                    (
+                        2e9 * np.pi * C_LIGHT / om,
+                        axis.value,
+                        profile.index_at(om),
+                        wavevector(om, profile),
+                        inverse_group_velocity(om, profile),
+                        gvd(om, profile),
+                    )
+                )
+        assert rows == expected
 
     def test_hom_sim_fit_round_trip(self, config_path, tmp_path, capsys):
         data = tmp_path / "hom.csv"

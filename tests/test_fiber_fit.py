@@ -1,4 +1,6 @@
+import dataclasses
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,6 +106,21 @@ class TestLoadMeasurements:
         message = f"{path}:4: R_AB must be a finite number, got 'nan'"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             list(ff.read_csv(path, header))
+
+    def test_wrong_column_count_names_line(self, tmp_path):
+        path = tmp_path / "meas.csv"
+        path.write_text(
+            "lambda_p_nm,lambda_s_nm,lambda_i_nm,sigma_nm\n785.0,726.9,853.2,0.1\n780.0,855.0,0.2\n"
+        )
+        message = f"{path}:3: expected 4 columns, got 3"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ff.load_measurements(path)
+
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "meas.csv"
+        path.write_text("lambda_p_nm,lambda_s_nm,lambda_i_nm,sigma_nm\n\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: no data rows$"):
+            ff.load_measurements(path)
 
 
 class TestPhasematchMeasurement:
@@ -254,6 +271,12 @@ class TestFitGeometry:
         with pytest.raises(ff.FitError, match="no model phasematch at any measured pump"):
             ff.fit_geometry(rows, birefringence=-DN)
 
+    def test_no_converged_restart_raises(self, fast_geometry, monkeypatch):
+        rows = _synthetic_measurements(fast_geometry, PUMPS[:2])
+        monkeypatch.setattr(ff, "least_squares", lambda *args, **kw: SimpleNamespace(success=False))
+        with pytest.raises(ff.FitError, match="^no restart converged$"):
+            ff.fit_geometry(rows, n_starts=2, birefringence=DN)
+
     def test_empty_input_raises(self):
         with pytest.raises(ff.FitError):
             ff.fit_geometry([])
@@ -284,6 +307,20 @@ class TestJacobian:
             )
         return rows
 
+    @staticmethod
+    def _central_difference(x, rows):
+        """Fourth-order central difference of the residuals in x at a relative step
+        of 3e-5, and the set of `penalized` counts of the shifted models."""
+        numeric, penalized = [], set()
+        for j in range(2):
+            h = np.zeros(2)
+            h[j] = 3e-5 * x[j]
+            shifted = [ff._Model(x + k * h, rows, DN) for k in (-2, -1, 1, 2)]
+            penalized.update(model.penalized for model in shifted)
+            r = [model.residuals for model in shifted]
+            numeric.append((8.0 * (r[2] - r[1]) - (r[3] - r[0])) / (12.0 * h[j]))
+        return np.stack(numeric, axis=1), penalized
+
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(core_um=st.floats(1.0, 3.0), fill=st.floats(0.3, 0.7))
     def test_matches_central_difference(self, core_um, fill):
@@ -301,14 +338,8 @@ class TestJacobian:
         model = ff._Model(x, rows, DN)
         residuals, penalized, jac = model.residuals, model.penalized, model.jacobian
         assume(penalized < len(residuals))
-        numeric = np.zeros_like(jac)
-        for j in range(2):
-            h = np.zeros(2)
-            h[j] = 3e-5 * x[j]
-            shifted = [ff._Model(x + k * h, rows, DN) for k in (-2, -1, 1, 2)]
-            assume(all(model.penalized == penalized for model in shifted))
-            r = [model.residuals for model in shifted]
-            numeric[:, j] = (8.0 * (r[2] - r[1]) - (r[3] - r[0])) / (12.0 * h[j])
+        numeric, shifted_penalized = self._central_difference(x, rows)
+        assume(shifted_penalized == {penalized})
         assert np.abs(jac - numeric).max() <= 1e-5 * np.abs(numeric).max()
 
     def test_unmatched_pump_gives_zero_row(self, fast_geometry):
@@ -322,3 +353,36 @@ class TestJacobian:
         assert np.all(residuals[:2] == ff.PENALTY_RESIDUAL)
         assert np.all(jac[:2] == 0.0)
         assert np.all(np.abs(jac[2:]) > 0.0)
+
+    def test_no_guided_mode_penalizes_every_sideband(self, fast_geometry):
+        # At a filling fraction of 0.95 the holes overlap: the geometry has no
+        # profile, so every observed sideband, one-sided rows too, is a penalty.
+        rows = _synthetic_measurements(fast_geometry, PUMPS[:3])
+        rows[1] = dataclasses.replace(rows[1], signal_wavelength=None)
+        model = ff._Model(np.array([1.0, 0.95]), rows, DN)
+        assert model.profile is None
+        assert model.penalized == 5
+        assert np.all(model.residuals == ff.PENALTY_RESIDUAL) and len(model.residuals) == 5
+        assert model.jacobian.shape == (5, 2) and np.all(model.jacobian == 0.0)
+
+    def test_one_sided_rows(self, fast_geometry):
+        # A signal-only and an idler-only row: the residuals run row by row,
+        # a row's signal before its idler, and the Jacobian rows follow them.
+        x = np.array([fast_geometry.core_diameter * 1e6, fast_geometry.air_filling_fraction])
+        rows = self._rows_near_model(x, np.array([772e-9, 780e-9, 788e-9]))
+        rows[0] = dataclasses.replace(rows[0], idler_wavelength=None)
+        rows[2] = dataclasses.replace(rows[2], signal_wavelength=None)
+        model = ff._Model(x, rows, DN)
+        expected = [
+            (getattr(point, side) - getattr(row, side)) / row.sigma
+            for row, point in zip(rows, model.points)
+            for side in ("signal_wavelength", "idler_wavelength")
+            if getattr(row, side) is not None
+        ]
+        assert model.penalized == 0
+        assert list(model.residuals) == expected
+        # The observed signals lie above the model, the idlers below.
+        assert np.sign(model.residuals).tolist() == [-1.0, -1.0, 1.0, 1.0]
+        numeric, shifted_penalized = self._central_difference(x, rows)
+        assert shifted_penalized == {0}
+        assert np.abs(model.jacobian - numeric).max() <= 1e-5 * np.abs(numeric).max()

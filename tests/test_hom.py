@@ -172,6 +172,10 @@ class TestHomDatasetValidation:
         with pytest.raises(ValueError, match="repetition_rate must be finite and > 0"):
             _dataset(repetition_rate=rate)
 
+    def test_unequal_column_lengths_rejected(self):
+        with pytest.raises(ValueError, match="^all dataset columns must have equal length$"):
+            _dataset(duration=[10.0, 10.0, 10.0])
+
     def test_zero_counts_accepted(self):
         # A row with no four-fold events is data, not an error.
         assert len(_dataset(four_fold=[0.0, 60.0]).theta) == 2
