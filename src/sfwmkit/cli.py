@@ -33,7 +33,7 @@ from .errors import ConfigError, SfwmkitError
 from .fiber_fit import fit_geometry, load_measurements, read_csv
 from .hom import HomDataset, HomModelParams, fit_purity, simulate_counts
 from .jsa import adaptive_grid, build_jsa, schmidt_decompose
-from .material_optics import FiberAxisGeometry, FiberSpec
+from .material_optics import CLOSE_PACKED_FILL, FiberAxisGeometry, FiberSpec
 from .phasematch import (
     PumpSpec,
     gvm_pump_wavelength,
@@ -58,30 +58,25 @@ def _fmt(value):
 class RunConfig:
     fiber: FiberSpec
     pump: PumpSpec
-    n_signal: int
-    n_idler: int
 
 
-# A number in the config: the dataclass field it fills, its factor to SI units
-# or an integer's (default, minimum, maximum), whether it is required, and the
-# range of a float in the config's own units.
+# A number in the config: the dataclass field it fills, its factor to SI units,
+# whether it is required, and the range of its SI value.
 _Key = namedtuple("_Key", "field scale required range", defaults=(1.0, False, None))
 # Ranges: the text of the rule and its test.
 _POSITIVE = ("> 0", lambda value: value > 0)
 _NONNEGATIVE = (">= 0", lambda value: value >= 0)
-_FRACTION = ("in (0, 1)", lambda value: 0 < value < 1)
+# The triangular lattice's holes touch at the close-packed fill.
+_FILL = (f"in (0, {CLOSE_PACKED_FILL:.4f})", lambda value: 0 < value < CLOSE_PACKED_FILL)
 
-# Largest sample count: of a spectral grid axis, as `purity` doubles the grid
-# and 4096^2 complex amplitudes already take 268 MB; and on the command line,
-# as the phasematch scan holds 2000 signal samples and their dk (about 43 KB)
-# per pump.
+# Largest sample count on the command line: the phasematch scan holds 2000
+# signal samples and their dk (about 43 KB) per pump.
 _MAX_COUNT = 2048
 
 
 class _Section:
     """An object in the config: the dataclass it builds, for the enclosing
-    one's field of the section's name, and its keys.  A section without a
-    dataclass may be absent, and its keys fill the enclosing dataclass."""
+    one's field of the section's name, and its keys."""
 
     def __init__(self, build, **keys):
         self.build, self.keys = build, keys
@@ -90,7 +85,7 @@ class _Section:
 _AXIS = _Section(
     FiberAxisGeometry,
     core_diameter_um=_Key("core_diameter", 1e-6, True, _POSITIVE),
-    air_filling_fraction=_Key("air_filling_fraction", 1.0, True, _FRACTION),
+    air_filling_fraction=_Key("air_filling_fraction", 1.0, True, _FILL),
 )
 # The config's schema, shaped like the document, in the order its keys are
 # checked.
@@ -110,12 +105,6 @@ _SCHEMA = _Section(
         gaussian_fwhm_nm=_Key("gaussian_fwhm", 1e-9, True, _POSITIVE),
         filter_width_nm=_Key("filter_width", 1e-9, range=_POSITIVE),
         peak_power_w=_Key("peak_power", range=_NONNEGATIVE),
-    ),
-    # A spectral grid axis needs at least 64 samples.
-    grid=_Section(
-        None,
-        n_signal=_Key("n_signal", (256, 64, _MAX_COUNT)),
-        n_idler=_Key("n_idler", (256, 64, _MAX_COUNT)),
     ),
 )
 
@@ -146,21 +135,6 @@ def _number(mapping, key, path, required):
     raise ConfigError(f"{path}.{key} must be a finite number, got {value!r}")
 
 
-def _integer(mapping, key, path, default, minimum, maximum):
-    """mapping.get(key, default) as an int; fractional values and values outside
-    [`minimum`, `maximum`] are rejected."""
-    value = mapping.get(key, default)
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    ):
-        raise ConfigError(f"{path}.{key} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{path}.{key} must be >= {minimum}, got {value!r}")
-    if value > maximum:
-        raise ConfigError(f"{path}.{key} must be <= {maximum}, got {value!r}")
-    return int(value)
-
-
 def _fields(section, mapping, path):
     """The dataclass fields of `section` that the config object `mapping` at
     `path` gives."""
@@ -168,22 +142,18 @@ def _fields(section, mapping, path):
     for key, entry in section.keys.items():
         if isinstance(entry, _Section):
             key_path = f"{path}.{key}" if path else key
-            child = mapping.get(key, {} if entry.build is None else None)
+            child = mapping.get(key)
             if not isinstance(child, dict):
                 raise ConfigError(f"{key_path} must be an object")
             _reject_unknown(child, entry.keys, key_path + ".")
             values = _fields(entry, child, key_path)
-            if entry.build is None:
-                fields.update(values)
-            else:
-                with _user_values(key_path):
-                    fields[key] = entry.build(**values)
-        elif isinstance(entry.scale, tuple):
-            fields[entry.field] = _integer(mapping, key, path, *entry.scale)
+            with _user_values(key_path):
+                fields[key] = entry.build(**values)
         elif (value := _number(mapping, key, path, entry.required)) is not None:
+            value *= entry.scale
             if entry.range and not entry.range[1](value):
                 raise ConfigError(f"{path}.{key} must be {entry.range[0]}, got {mapping[key]!r}")
-            fields[entry.field] = value * entry.scale
+            fields[entry.field] = value
     return fields
 
 
@@ -192,8 +162,8 @@ def parse_config(document):
     if not isinstance(document, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown(document, _SCHEMA.keys, "")
-    for key, section in _SCHEMA.keys.items():
-        if section.build is not None and key not in document:
+    for key in _SCHEMA.keys:
+        if key not in document:
             raise ConfigError(f"missing config section {key}")
     return RunConfig(**_fields(_SCHEMA, document, ""))
 
@@ -318,8 +288,7 @@ def _cmd_gvm(config, args):
 
 
 def _build_jsa_from_config(config):
-    grid = adaptive_grid(config.pump, config.fiber, config.n_signal, config.n_idler)
-    return build_jsa(config.pump, config.fiber, grid=grid)
+    return build_jsa(config.pump, config.fiber, grid=adaptive_grid(config.pump, config.fiber))
 
 
 def _cmd_jsa(config, args):
@@ -335,9 +304,11 @@ def _cmd_jsa(config, args):
 
 
 def _cmd_purity(config, args):
-    base = schmidt_decompose(_build_jsa_from_config(config))
-    doubled = dataclasses.replace(config, n_signal=2 * config.n_signal, n_idler=2 * config.n_idler)
-    refined = schmidt_decompose(_build_jsa_from_config(doubled))
+    jsa = _build_jsa_from_config(config)
+    base = schmidt_decompose(jsa)
+    shape = jsa.amplitude.shape
+    doubled = adaptive_grid(config.pump, config.fiber, 2 * shape[0], 2 * shape[1])
+    refined = schmidt_decompose(build_jsa(config.pump, config.fiber, grid=doubled))
     drift = abs(refined.purity - base.purity)
     return _json(
         {
@@ -345,7 +316,7 @@ def _cmd_purity(config, args):
             "schmidt_number": base.schmidt_number,
             "entropy": base.entropy,
             "coefficients": list(base.coefficients[:16]),
-            "grid_points": [config.n_signal, config.n_idler],
+            "grid_points": list(shape),
             "refined_purity": refined.purity,
             "grid_converged": bool(drift < 1e-3 * refined.purity),
             # Rounded to the 1e-12 resolution of the printed purities, so the

@@ -50,6 +50,7 @@ __all__ = [
     "cladding_index",
     "lp01_effective_index",
     "unit_cell_radii",
+    "CLOSE_PACKED_FILL",
     "fsm_cladding_index_grid",
     "he11_effective_index_grid",
     "he11_index_gradient",
@@ -272,6 +273,8 @@ def lp01_effective_index(wavelength, geometry):
 # --------------------------------------------------------------------------
 
 _SQRT3 = np.sqrt(3.0)
+# The air-filling fraction at which the lattice's holes touch (d_hole = pitch).
+CLOSE_PACKED_FILL = np.pi / (2.0 * _SQRT3)
 
 
 def unit_cell_radii(geometry):

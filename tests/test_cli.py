@@ -52,7 +52,6 @@ def config_path(tmp_path):
             "gaussian_fwhm_nm": 20.0,
             "filter_width_nm": 8.0,
         },
-        "grid": {"n_signal": 128, "n_idler": 128},
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(document))
@@ -71,7 +70,6 @@ class TestConfigParsing:
             assert config.fiber.length == length
             assert config.pump.center_wavelength == pytest.approx(pump_nm * 1e-9)
             assert config.fiber.birefringence_override == -1.7e-5
-            assert (config.n_signal, config.n_idler) == (256, 256)
 
     def test_unknown_top_key_rejected(self):
         with pytest.raises(ConfigError, match="mystery"):
@@ -108,19 +106,24 @@ class TestConfigParsing:
         )
         with pytest.raises(ConfigError, match="fiber.fast_axis.color"):
             cli.parse_config(document)
-        # Peak power is the pump's one power input and the grid's padding is
-        # a constant, so these keys are unknown like any other.
-        for path in (
-            "pump.average_power_w",
-            "pump.repetition_rate_hz",
-            "pump.pulse_fwhm_s",
-            "grid.sidelobes",
-        ):
+        # Peak power is the pump's one power input, so these keys are unknown
+        # like any other.
+        for path in ("pump.average_power_w", "pump.repetition_rate_hz", "pump.pulse_fwhm_s"):
             document = _paper_document()
             section, key = path.split(".")
             document[section][key] = 1.0
             with pytest.raises(ConfigError, match=f"^unknown config key {re.escape(path)}$"):
                 cli.parse_config(document)
+
+    def test_grid_section_rejected_as_unknown(self, tmp_path, capsys):
+        # The joint spectrum's grid is adaptive_grid's default, not a config
+        # section, so a `grid` section is an unknown key like any other.
+        document = _paper_document()
+        document["grid"] = {"n_signal": 256, "n_idler": 256}
+        with pytest.raises(ConfigError, match="^unknown config key grid$"):
+            cli.parse_config(document)
+        code, out, err = _run(["gvm", "--config", _write_config(tmp_path, document)], capsys)
+        assert (code, out, err) == (1, "", "error: unknown config key grid\n")
 
     def test_zero_peak_power_parses(self):
         document = _paper_document()
@@ -161,35 +164,21 @@ class TestStrictNumbers:
             ("fiber.length_m", "99"),
             ("pump.center_wavelength_nm", "783"),
             ("pump.peak_power_w", float("nan")),
-            ("grid.n_signal", 3.7),
-            ("grid.n_idler", False),
-            ("grid.n_signal", -5),
-            ("grid.n_idler", 63),
-            ("grid.n_signal", 10**30),
-            ("grid.n_idler", 2049),
         ],
     )
     def test_bad_value_rejected_with_key_path(self, path, value):
         with pytest.raises(ConfigError, match=f"^{re.escape(path)} "):
             cli.parse_config(_paper_document_with(path, value))
 
-    @pytest.mark.parametrize("key, value", [("n_signal", 64), ("n_idler", 64)])
-    def test_grid_minimum_accepted(self, key, value):
-        document = _paper_document()
-        document["grid"][key] = value
-        assert getattr(cli.parse_config(document), key) == value
-
-    @pytest.mark.parametrize("key", ["n_signal", "n_idler"])
-    def test_grid_maximum_accepted(self, key):
-        document = _paper_document()
-        document["grid"][key] = 2048
-        assert getattr(cli.parse_config(document), key) == 2048
-
     @pytest.mark.parametrize(
         "path, value, rule",
         [
             ("fiber.fast_axis.core_diameter_um", -1.75, "> 0"),
-            ("fiber.slow_axis.air_filling_fraction", 1, "in (0, 1)"),
+            # Positive, but 0 m once scaled from um.
+            ("fiber.fast_axis.core_diameter_um", 1e-320, "> 0"),
+            ("fiber.slow_axis.air_filling_fraction", 1, "in (0, 0.9069)"),
+            # The holes of the triangular lattice overlap past pi/(2 sqrt(3)).
+            ("fiber.fast_axis.air_filling_fraction", 0.95, "in (0, 0.9069)"),
             ("fiber.gamma_per_w_km", -99.0, ">= 0"),
             ("fiber.length_m", 0, "> 0"),
             ("pump.center_wavelength_nm", -783.0, "> 0"),
@@ -199,8 +188,8 @@ class TestStrictNumbers:
         ],
     )
     def test_out_of_range_named_by_key_as_given(self, tmp_path, capsys, path, value, rule):
-        # The range is checked in the config's own units, before the spec
-        # dataclass sees the SI value.
+        # The range is checked on the SI value before the spec dataclass sees
+        # it, and reported by the key and the value as given.
         document = _paper_document_with(path, value)
         code, out, err = _run(["gvm", "--config", _write_config(tmp_path, document)], capsys)
         assert (code, out) == (1, "")
@@ -218,11 +207,6 @@ class TestStrictNumbers:
         path.write_text('{"fiber": ')
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: invalid JSON: "):
             cli.load_config(str(path))
-
-    def test_integral_float_accepted(self):
-        document = _paper_document()
-        document["grid"]["n_signal"] = 128.0
-        assert cli.parse_config(document).n_signal == 128
 
     @pytest.mark.parametrize(
         "build",
@@ -507,6 +491,19 @@ class TestSubcommands:
         assert payload["grid_converged"] is True
         assert len(payload["coefficients"]) == 16
 
+    @pytest.mark.parametrize("preset", ["paper40cm.json", "paper1m.json"])
+    def test_purity_grid_is_adaptive_grid_default(self, capsys, preset):
+        # `purity` samples the spectrum on adaptive_grid's 256 x 256 default
+        # and refines it on the doubled grid.
+        code, out, _ = _run(["purity", "--config", preset], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["grid_points"] == [256, 256]
+        config = cli.load_config(preset)
+        grid = adaptive_grid(config.pump, config.fiber, 512, 512)
+        refined = schmidt_decompose(build_jsa(config.pump, config.fiber, grid)).purity
+        assert payload["refined_purity"] == float(cli._fmt(refined))
+
     def test_purity_gate_is_relative(self, tmp_path, capsys):
         # At 100 m with a 787 nm / 7.5 nm pump the 256^2 purity, 0.009997, is
         # 8.5% off the refined 0.009216, though the drift (7.8e-4) is below 1e-3.
@@ -681,21 +678,17 @@ class TestSubcommands:
         assert code == 0
         assert [float(line.split(",")[0]) for line in out.splitlines()[1:]] == [0.4, 1.0]
 
-    def test_purity_scan_honours_both_grid_axes(self, tmp_path, capsys):
-        # Each length's spectrum is built on grid.n_signal x grid.n_idler, as
-        # `purity` and `jsa` build it, not on a square grid of n_signal.
-        document = _paper_document()
-        document["grid"] = {"n_signal": 64, "n_idler": 128}
-        path = tmp_path / "grid.json"
-        path.write_text(json.dumps(document))
-        argv = ["purity-scan", "--config", str(path), "--lengths", "0.4", "3.0"]
+    def test_purity_scan_honours_both_grid_axes(self, capsys):
+        # Each length's spectrum is built on adaptive_grid's default grid on
+        # both axes, as `purity` and `jsa` build it.
+        argv = ["purity-scan", "--config", "paper40cm.json", "--lengths", "0.4", "3.0"]
         code, out, _ = _run(argv, capsys)
         assert code == 0
-        config = cli.load_config(str(path))
+        config = cli.load_config("paper40cm.json")
         expected = []
         for length in (0.4, 3.0):
             fiber = dataclasses.replace(config.fiber, length=length)
-            jsa = build_jsa(config.pump, fiber, adaptive_grid(config.pump, fiber, 64, 128))
+            jsa = build_jsa(config.pump, fiber, adaptive_grid(config.pump, fiber))
             expected.append(f"{cli._fmt(length)},{cli._fmt(schmidt_decompose(jsa).purity)}")
         assert out.splitlines()[1:] == expected
 

@@ -142,6 +142,16 @@ class TestUnitCell:
         with pytest.raises(DomainError):
             mo.unit_cell_radii(mo.FiberAxisGeometry(1.75e-6, 0.95))
 
+    def test_holes_touch_at_close_packed_fill(self):
+        # d_hole/pitch = sqrt(2 sqrt(3) f/pi) reaches 1 at CLOSE_PACKED_FILL,
+        # the config's upper end of the air-filling fraction.
+        d_rel = np.sqrt(2.0 * np.sqrt(3.0) * mo.CLOSE_PACKED_FILL / np.pi)
+        assert d_rel == pytest.approx(1.0, rel=1e-15)
+        assert f"{mo.CLOSE_PACKED_FILL:.4f}" == "0.9069"
+        mo.unit_cell_radii(mo.FiberAxisGeometry(1.75e-6, mo.CLOSE_PACKED_FILL * (1 - 1e-12)))
+        with pytest.raises(DomainError):
+            mo.unit_cell_radii(mo.FiberAxisGeometry(1.75e-6, mo.CLOSE_PACKED_FILL * (1 + 1e-12)))
+
 
 class TestVectorSolvers:
     def test_fsm_below_silica_above_air(self, fast_geometry):
