@@ -103,7 +103,7 @@ _SCHEMA = _Section(
         PumpSpec,
         center_wavelength_nm=_Key("center_wavelength", 1e-9, True, _POSITIVE),
         gaussian_fwhm_nm=_Key("gaussian_fwhm", 1e-9, True, _POSITIVE),
-        filter_width_nm=_Key("filter_width", 1e-9, range=_POSITIVE),
+        filter_width_nm=_Key("filter_width", 1e-9, True, _POSITIVE),
         peak_power_w=_Key("peak_power", range=_NONNEGATIVE),
     ),
 )

@@ -202,8 +202,9 @@ def adaptive_grid(pump: PumpSpec, fiber: FiberSpec, n_signal=256, n_idler=256):
     """
     omega_s, omega_i, slope_s, slope_i = _ridge(pump, dataclasses.replace(fiber, length=1.0))
     lobe = 2.0 * np.pi * _SIDELOBES / fiber.length
-    reach_s = lobe / np.maximum(np.abs(slope_s), 1e-18)
-    reach_i = lobe / np.maximum(np.abs(slope_i), 1e-18)
+    with np.errstate(over="ignore"):  # an infinite reach is clipped below
+        reach_s = lobe / np.maximum(np.abs(slope_s), 1e-18)
+        reach_i = lobe / np.maximum(np.abs(slope_i), 1e-18)
     s_lo, s_hi = float(np.min(omega_s - reach_s)), float(np.max(omega_s + reach_s))
     i_lo, i_hi = float(np.min(omega_i - reach_i)), float(np.max(omega_i + reach_i))
 
@@ -238,8 +239,11 @@ def build_jsa(pump: PumpSpec, fiber: FiberSpec, grid: SpectralGrid):
     omega_s = grid.signal_omegas[:, None]
     omega_i = grid.idler_omegas[None, :]
     envelope = pump_function(omega_s + omega_i, pump)
-    amplitude = envelope * phasematch_function(omega_s, omega_i, fiber, pump.peak_power)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        amplitude = envelope * phasematch_function(omega_s, omega_i, fiber, pump.peak_power)
     norm_sq = np.sum(np.abs(amplitude) ** 2) * grid.signal_spacing * grid.idler_spacing
+    if not np.isfinite(norm_sq):
+        raise GridError(f"dk L / 2 overflows on the grid at length {fiber.length:g} m")
     if norm_sq == 0.0:
         raise GridError("grid misplaced: the joint amplitude vanishes on the grid")
     return JointSpectralAmplitude(grid=grid, amplitude=amplitude / np.sqrt(norm_sq))

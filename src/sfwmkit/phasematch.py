@@ -68,38 +68,30 @@ class PumpSpec:
     All wavelength-like quantities in meters, powers in watts.  peak_power
     is the pump's peak power P in the self-phase-modulation term (2/3)
     gamma P of the phase mismatch; finite and >= 0, default 0.
-    filter_width is the full width of a rectangular spectral filter applied
-    after the pump laser; None means unfiltered.  The field's support
-    (`field_support`) must lie at positive frequency: a filter_width of at
-    least twice center_wavelength, or an unfiltered Gaussian whose +-6 sigma
-    window reaches zero frequency, is rejected.
+    filter_width is the full width of the rectangular spectral filter applied
+    after the pump laser, whose window is the field's support
+    (`field_support`); it must be less than twice center_wavelength, so that
+    the window lies at positive frequency.
     """
 
     center_wavelength: float
     gaussian_fwhm: float  # intensity FWHM of the pump spectrum [m]
-    filter_width: float | None = None
+    filter_width: float
     peak_power: float = 0.0
 
     def __post_init__(self):
         for spec in fields(self):
             value = getattr(self, spec.name)
-            if value is None and spec.name == "filter_width":
-                continue
             if value is None or not math.isfinite(value):
                 raise ConfigError(f"{spec.name} must be finite, got {value}")
         if self.center_wavelength <= 0 or self.gaussian_fwhm <= 0:
             raise ConfigError("pump center wavelength and FWHM must be positive")
-        if self.filter_width is not None and self.filter_width <= 0:
-            raise ConfigError("filter_width must be positive when given")
-        if self.filter_width is not None and self.filter_width >= 2.0 * self.center_wavelength:
+        if self.filter_width <= 0:
+            raise ConfigError("filter_width must be positive")
+        if self.filter_width >= 2.0 * self.center_wavelength:
             raise ConfigError(
                 "filter_width must be less than twice center_wavelength, "
                 "or the filter window reaches zero wavelength"
-            )
-        if self.field_support[0] <= 0:
-            raise ConfigError(
-                "gaussian_fwhm is too wide for an unfiltered pump: its +-6 sigma "
-                "window reaches zero frequency; give a filter_width"
             )
         if self.peak_power < 0:
             raise ConfigError(f"peak_power must be >= 0, got {self.peak_power}")
@@ -116,19 +108,12 @@ class PumpSpec:
 
     @property
     def field_support(self):
-        """(omega_lo, omega_hi) support of the filtered pump field [rad/s].
-
-        The filter window in wavelength, or, unfiltered, the Gaussian
-        amplitude truncated at +-6 standard deviations.
-        """
+        """(omega_lo, omega_hi) support of the pump field: the filter window [rad/s]."""
         lam_c = self.center_wavelength
-        if self.filter_width is not None:
-            return (
-                2.0 * np.pi * C_LIGHT / (lam_c + 0.5 * self.filter_width),
-                2.0 * np.pi * C_LIGHT / (lam_c - 0.5 * self.filter_width),
-            )
-        reach = 6.0 * self.sigma_omega
-        return self.center_omega - reach, self.center_omega + reach
+        return (
+            2.0 * np.pi * C_LIGHT / (lam_c + 0.5 * self.filter_width),
+            2.0 * np.pi * C_LIGHT / (lam_c - 0.5 * self.filter_width),
+        )
 
 
 @dataclass(frozen=True)
@@ -190,7 +175,7 @@ def solve_phasematch(
     pumps = np.atleast_1d(np.asarray(pump_wavelength, dtype=float))
     if pumps.ndim > 1:
         raise ValueError(f"pump_wavelength must be a scalar or 1-D, got shape {pumps.shape}")
-    with np.errstate(divide="ignore"):  # a zero pump has an empty window below
+    with np.errstate(divide="ignore", over="ignore"):  # a zero or tiny pump has an empty window below
         omega_p = 2.0 * np.pi * C_LIGHT / pumps
     band_lo, band_hi = profile.span
     lo = omega_p + DEGENERACY_GUARD

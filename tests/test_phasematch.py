@@ -36,19 +36,29 @@ class TestPumpSpec:
             pm.PumpSpec(783e-9, 20e-9, filter_width=-1e-9)
 
     def test_peak_power_default_zero(self):
-        assert pm.PumpSpec(783e-9, 20e-9).peak_power == 0.0
+        assert pm.PumpSpec(783e-9, 20e-9, 8e-9).peak_power == 0.0
 
     def test_zero_peak_power_accepted(self):
-        assert pm.PumpSpec(783e-9, 20e-9, peak_power=0.0).peak_power == 0.0
+        assert pm.PumpSpec(783e-9, 20e-9, 8e-9, peak_power=0.0).peak_power == 0.0
 
     def test_negative_peak_power_rejected(self):
         with pytest.raises(ConfigError, match="peak_power must be >= 0"):
-            pm.PumpSpec(783e-9, 20e-9, peak_power=-1.0)
+            pm.PumpSpec(783e-9, 20e-9, 8e-9, peak_power=-1.0)
 
-    @pytest.mark.parametrize("field", ["center_wavelength", "gaussian_fwhm", "peak_power"])
+    def test_filter_width_has_no_default(self):
+        with pytest.raises(TypeError, match="filter_width"):
+            pm.PumpSpec(783e-9, 20e-9)
+
+    @pytest.mark.parametrize(
+        "field", ["center_wavelength", "gaussian_fwhm", "filter_width", "peak_power"]
+    )
     def test_none_rejected(self, field):
-        # Only filter_width may be None (unfiltered).
-        values = {"center_wavelength": 783e-9, "gaussian_fwhm": 20e-9, field: None}
+        values = {
+            "center_wavelength": 783e-9,
+            "gaussian_fwhm": 20e-9,
+            "filter_width": 8e-9,
+            field: None,
+        }
         with pytest.raises(ConfigError, match=f"^{field} must be finite, got None$"):
             pm.PumpSpec(**values)
 
@@ -154,8 +164,13 @@ class TestSolvePhasematch:
 
     @pytest.mark.filterwarnings("error")
     def test_zero_pump_has_empty_window(self, fiber_40cm):
-        with pytest.raises(NoPhasematchError, match="^empty signal search window for pump 0.00 nm$"):
-            pm.solve_phasematch(0.0, fiber_40cm)
+        # 2 pi c / lambda is inf at 0 m and overflows to inf at 1e-300 m,
+        # with no warning (the mark makes one an error).
+        for pump in (0.0, 1e-300):
+            with pytest.raises(
+                NoPhasematchError, match="^empty signal search window for pump 0.00 nm$"
+            ):
+                pm.solve_phasematch(pump, fiber_40cm)
 
     def test_array_marks_pumps_without_solution(self, fiber_40cm):
         points = pm.solve_phasematch(np.array([650e-9, 785e-9, 300e-9, np.nan]), fiber_40cm)
