@@ -43,7 +43,6 @@ from .hom import (
     fit_purity,
     four_fold_probability,
     heralded_density_matrix,
-    normalize_dataset,
     overlap_p,
     simulate_counts,
 )

@@ -287,12 +287,8 @@ def _cmd_gvm(config, args):
     return _json({"lambda_p0_nm": round(lam * 1e9, 3)})
 
 
-def _build_jsa_from_config(config):
-    return build_jsa(config.pump, config.fiber, grid=adaptive_grid(config.pump, config.fiber))
-
-
 def _cmd_jsa(config, args):
-    jsa = _build_jsa_from_config(config)
+    jsa = build_jsa(config.pump, config.fiber, grid=adaptive_grid(config.pump, config.fiber))
     return _csv(
         ("omega_s_rad_per_s", "omega_i_rad_per_s", "real", "imag", "abs_sq"),
         (
@@ -304,7 +300,7 @@ def _cmd_jsa(config, args):
 
 
 def _cmd_purity(config, args):
-    jsa = _build_jsa_from_config(config)
+    jsa = build_jsa(config.pump, config.fiber, grid=adaptive_grid(config.pump, config.fiber))
     base = schmidt_decompose(jsa)
     shape = jsa.amplitude.shape
     doubled = adaptive_grid(config.pump, config.fiber, 2 * shape[0], 2 * shape[1])
@@ -331,7 +327,7 @@ def _cmd_purity_scan(config, args):
         fibers = [dataclasses.replace(config.fiber, length=length) for length in args.lengths]
     rows = []
     for length, fiber in zip(args.lengths, fibers):
-        jsa = _build_jsa_from_config(dataclasses.replace(config, fiber=fiber))
+        jsa = build_jsa(config.pump, fiber, grid=adaptive_grid(config.pump, fiber))
         rows.append((length, schmidt_decompose(jsa).purity))
     return _csv(("length_m", "purity"), rows)
 
@@ -355,7 +351,9 @@ def _cmd_hom_fit(config, args):
 
 
 def _cmd_hom_sim(config, args):
-    thetas = np.deg2rad(np.linspace(args.theta_start, args.theta_stop, args.theta_points))
+    # An infinite end fills the angles with nan, which simulate_counts names.
+    with np.errstate(invalid="ignore"):
+        thetas = np.deg2rad(np.linspace(args.theta_start, args.theta_stop, args.theta_points))
     with _user_values("hom-sim arguments"):
         data = simulate_counts(
             HomModelParams(p=args.p, chi=args.chi),

@@ -161,14 +161,18 @@ def birefringence(wavelength, fiber: FiberSpec):
 
 @functools.lru_cache(maxsize=32)
 def _birefringence_series(fast_axis, slow_axis):
-    """Degree-24 Chebyshev series in omega of `birefringence` over the band.
+    """Degree-24 Chebyshev series in omega of the LP01 n_slow - n_fast over the band.
 
     dn is analytic in band, so the tail is rounding; as dn can be ~1e-9, the
     check is absolute: a degree 21-24 coefficient above 1e-14 raises ArithmeticError.
     """
-    fiber = FiberSpec(fast_axis, slow_axis, gamma=0.0, length=1.0)
+
+    def dn(omega):
+        lam = 2 * np.pi * C_LIGHT / omega
+        return lp01_effective_index(lam, slow_axis) - lp01_effective_index(lam, fast_axis)
+
     series = np.polynomial.Chebyshev.interpolate(
-        lambda omega: birefringence(2 * np.pi * C_LIGHT / omega, fiber),
+        dn,
         24,
         domain=2 * np.pi * C_LIGHT / np.array(DEFAULT_WAVELENGTH_BAND[::-1]),
     )

@@ -227,7 +227,7 @@ class _Model:
         return np.where(self._unsolved[:, None], 0.0, jac)
 
 
-def fit_geometry(measurements, initial_guess=None, birefringence=0.0, n_starts=5):
+def fit_geometry(measurements, initial_guess=None, *, birefringence, n_starts=5):
     """Fit (core diameter, filling fraction) of the guiding axis to the data.
 
     Bounded trust-region least squares from `n_starts` (1 to 5) deterministic
@@ -238,7 +238,7 @@ def fit_geometry(measurements, initial_guess=None, birefringence=0.0, n_starts=5
     share one profile build and one phasematch solve, and the Jacobian is
     built only where the solver asks for it.  Parameter sigmas come
     from the inverse Gauss-Newton Hessian of that Jacobian at the solution.
-    `birefringence` is the (signed) index difference assumed when solving the
+    `birefringence` (required) is the signed n_slow - n_fast held fixed in the
     model phasematch.  The model fiber has gamma = 0: the fit neglects
     self-phase modulation.  A fit whose every residual is penalized (no
     model phasematch at any measured pump) raises FitError.

@@ -39,7 +39,6 @@ __all__ = [
     "heralded_density_matrix",
     "overlap_p",
     "four_fold_probability",
-    "normalize_dataset",
     "fit_purity",
     "simulate_counts",
 ]
@@ -140,33 +139,12 @@ def four_fold_probability(theta, params: HomModelParams):
     return float(value) if np.ndim(theta) == 0 else value
 
 
-def normalize_dataset(data: HomDataset, chi=0.0):
-    """Normalized four-fold probabilities and first-order Poisson sigmas.
-
-    Returns (theta, P4, sigma, kept_mask).  Rows whose accidental
-    denominator N_AB N_CD + N_AD N_BC is zero cannot be normalized and are
-    excluded (with a warning); kept_mask marks surviving rows.  The sigma of
-    a row with zero four-fold counts is zero here -- fitting replaces it
-    with a model-based estimate.
-    """
-    kept = _kept_rows(data)
-    p4, sigma, _, _ = _normalize(data, chi, kept)
-    return data.theta[kept], p4, sigma, kept
-
-
-def _kept_rows(data: HomDataset):
-    """Rows with a nonzero accidental denominator.  If any is zero, warns at the
-    line that called the public function (`fit_purity`, `normalize_dataset`)."""
-    kept = data.two_fold_ab * data.two_fold_cd + data.two_fold_ad * data.two_fold_bc > 0
-    if not np.all(kept):
-        warnings.warn(
-            f"excluding {int(np.sum(~kept))} rows with zero two-fold coincidences", stacklevel=3
-        )
-    return kept
-
-
 def _normalize(data: HomDataset, chi, kept):
-    """`normalize_dataset`'s P4 and sigma of the rows `kept`, and their P4 / N4 and cos^2(2 theta)."""
+    """Normalized P4 at chi, its Poisson sigma, P4 / N4 and cos^2(2 theta) of the `kept` rows.
+
+    The sigma of a row with zero four-fold counts is zero here; `_fit_at`
+    replaces it with a model-based estimate.
+    """
     n4 = data.four_fold[kept]
     nab, ncd = data.two_fold_ab[kept], data.two_fold_cd[kept]
     nad, nbc = data.two_fold_ad[kept], data.two_fold_bc[kept]
@@ -176,12 +154,9 @@ def _normalize(data: HomDataset, chi, kept):
     scale = (1.0 + np.cos(2.0 * chi) ** 2 * x) * rd / (2.0 * d)
     p4 = n4 * scale
     # Poisson error propagation at first order: var(N) = N for every counter.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        var = (scale**2) * n4 + np.where(
-            n4 > 0,
-            (p4 / d) ** 2 * (ncd**2 * nab + nab**2 * ncd + nbc**2 * nad + nad**2 * nbc),
-            0.0,
-        )
+    var = (scale**2) * n4 + (p4 / d) ** 2 * (
+        ncd**2 * nab + nab**2 * ncd + nbc**2 * nad + nad**2 * nbc
+    )
     return p4, np.sqrt(var), scale, x
 
 
@@ -234,10 +209,16 @@ def fit_purity(data: HomDataset):
     finds; only cos^2(2 chi) is observable, so chi >= 0.  Uncertainties are
     absolute, from the inverse Gauss-Newton Hessian in (p, cos^2 2chi), so
     sigma_chi is inf at chi = 0.  n_iterations counts the fits at fixed chi;
-    p_at_boundary flags p within 1e-9 of 0 or 1.
+    p_at_boundary flags p within 1e-9 of 0 or 1.  Rows whose accidental
+    denominator N_AB N_CD + N_AD N_BC is zero cannot be normalized; they are
+    left out, with one warning.
     """
+    kept = data.two_fold_ab * data.two_fold_cd + data.two_fold_ad * data.two_fold_bc > 0
+    if not np.all(kept):
+        warnings.warn(
+            f"excluding {int(np.sum(~kept))} rows with zero two-fold coincidences", stacklevel=2
+        )
     fits = []
-    kept = _kept_rows(data)
 
     def fit_at(chi):
         fits.append(_fit_at(data, chi, kept))
@@ -287,9 +268,20 @@ def simulate_counts(
     the four two-fold coincidence counters.  The four-fold mean follows by
     inverting the normalization at the expected two-fold counts, so a fit of
     the simulated data recovers (p, chi) up to shot noise; noiseless=True
-    skips the Poisson sampling and stores exact means.
+    skips the Poisson sampling and stores exact means.  two_fold_mean,
+    duration [s] and repetition_rate [Hz] must be finite and > 0, and every
+    theta [rad] finite; a ValueError names the first that is not.
     """
     theta = np.asarray(thetas, dtype=float)
+    for name, value in (
+        ("two_fold_mean", two_fold_mean),
+        ("duration", duration),
+        ("repetition_rate", repetition_rate),
+    ):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {float(value)!r}")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError(f"thetas must be finite, got {float(theta[~np.isfinite(theta)][0])!r}")
     n_rows = len(theta)
     rng = np.random.default_rng(seed)
     rd = repetition_rate * duration

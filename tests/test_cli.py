@@ -402,6 +402,26 @@ class TestExitCodes:
         assert message in err
 
     @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--duration", "0"], "duration must be finite and > 0, got 0.0"),
+            (["--rep-rate", "nan"], "repetition_rate must be finite and > 0, got nan"),
+            (["--two-fold-mean", "inf"], "two_fold_mean must be finite and > 0, got inf"),
+            (["--two-fold-mean", "-5"], "two_fold_mean must be finite and > 0, got -5.0"),
+            (["--two-fold-mean", "0"], "two_fold_mean must be finite and > 0, got 0.0"),
+            (["--theta-start", "nan"], "thetas must be finite, got nan"),
+            (["--theta-stop", "inf"], "thetas must be finite, got nan"),
+        ],
+    )
+    def test_bad_hom_sim_number_exits_one(self, config_path, capsys, flags, message):
+        # Rejected by name before numpy sees it: one error line, no numpy
+        # warning (pytest turns a RuntimeWarning into an error) and no output.
+        argv = ["hom-sim", "--config", config_path, "--p", "0.9", *flags]
+        code, out, err = _run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: hom-sim arguments: {message}\n"
+
+    @pytest.mark.parametrize(
         "pump, message",
         [
             ({"filter_width_nm": 1566.0}, "filter_width must be less than twice"),

@@ -294,7 +294,10 @@ class TestBirefringenceSeries:
     def test_unresolved_tail_raises(self, fiber_no_override, monkeypatch):
         # A kink at 800 nm is not analytic: its Chebyshev tail stays far above
         # rounding, so the series must not be trusted.
-        monkeypatch.setattr(disp, "birefringence", lambda lam, fiber: 1e-2 * np.abs(lam - 800e-9))
+        slow = fiber_no_override.slow_axis
+        monkeypatch.setattr(
+            disp, "lp01_effective_index", lambda lam, axis: 1e-2 * np.abs(lam - 800e-9) * (axis is slow)
+        )
         with pytest.raises(ArithmeticError, match="tail"):
             disp._birefringence_series.__wrapped__(
                 fiber_no_override.fast_axis, fiber_no_override.slow_axis

@@ -279,7 +279,12 @@ class TestFitGeometry:
 
     def test_empty_input_raises(self):
         with pytest.raises(ff.FitError):
-            ff.fit_geometry([])
+            ff.fit_geometry([], birefringence=DN)
+
+    def test_birefringence_is_required(self):
+        # dn = 0 is a fiber, not a default: a caller who forgets dn gets no fit.
+        with pytest.raises(TypeError, match="birefringence"):
+            ff.fit_geometry([], n_starts=1)
 
     def test_deterministic(self, fast_geometry):
         rows = _synthetic_measurements(fast_geometry, PUMPS)

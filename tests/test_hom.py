@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,9 @@ class TestHomDatasetValidation:
 
 
 class TestNormalizeDataset:
+    # The normalization `fit_purity` applies to the rows it keeps.
+    KEPT = np.array([True])
+
     def _single_row(self, n4=80.0, nab=1000.0, ncd=1100.0, nad=900.0, nbc=950.0):
         return hom.HomDataset(
             theta=np.array([0.3]),
@@ -196,42 +200,28 @@ class TestNormalizeDataset:
 
     def test_hand_computed_row(self):
         data = self._single_row()
-        theta, p4, sigma, kept = hom.normalize_dataset(data, chi=0.1)
+        p4, *_ = hom._normalize(data, 0.1, self.KEPT)
         cc = np.cos(0.2) ** 2 * np.cos(0.6) ** 2
         denom = 1000.0 * 1100.0 + 900.0 * 950.0
         expected = 80.0 * (1 + cc) * 1e6 * 10.0 / (2 * denom)
         assert p4[0] == pytest.approx(expected, rel=1e-12)
-        assert kept.all()
 
     def test_scaling_homogeneity(self):
         # Scaling all counts by s scales P4 by 1/s.
         base = self._single_row()
         scaled = self._single_row(n4=160.0, nab=2000.0, ncd=2200.0, nad=1800.0, nbc=1900.0)
-        _, p4_base, _, _ = hom.normalize_dataset(base, chi=0.0)
-        _, p4_scaled, _, _ = hom.normalize_dataset(scaled, chi=0.0)
+        p4_base, *_ = hom._normalize(base, 0.0, self.KEPT)
+        p4_scaled, *_ = hom._normalize(scaled, 0.0, self.KEPT)
         assert p4_scaled[0] == pytest.approx(p4_base[0] / 2, rel=1e-12)
 
-    def test_zero_twofold_row_excluded(self):
-        data = hom.HomDataset(
-            theta=np.array([0.1, 0.2]),
-            four_fold=np.array([50.0, 60.0]),
-            two_fold_ab=np.array([1000.0, 0.0]),
-            two_fold_cd=np.array([1000.0, 0.0]),
-            two_fold_ad=np.array([1000.0, 0.0]),
-            two_fold_bc=np.array([1000.0, 0.0]),
-            duration=np.array([10.0, 10.0]),
-            repetition_rate=1e6,
-        )
-        with pytest.warns(UserWarning, match="zero two-fold") as record:
-            theta, p4, sigma, kept = hom.normalize_dataset(data)
-        assert len(record) == 1
-        assert record[0].filename == __file__
-        assert kept.tolist() == [True, False]
-        assert len(p4) == 1
-
     def test_sigma_positive_when_counts_present(self):
-        _, _, sigma, _ = hom.normalize_dataset(self._single_row())
+        _, sigma, *_ = hom._normalize(self._single_row(), 0.0, self.KEPT)
         assert sigma[0] > 0
+
+    def test_empty_row_sigma_zero(self):
+        # A kept row with no four-folds has P4 = 0, so both variance terms are 0.
+        p4, sigma, *_ = hom._normalize(self._single_row(n4=0.0), 0.0, self.KEPT)
+        assert p4[0] == 0.0 and sigma[0] == 0.0
 
 
 def _least_squares_fit(theta, p4, sigma, x0):
@@ -275,7 +265,8 @@ class TestFitPurity:
 
     def test_excluded_rows_warn_once_for_the_caller(self):
         # However many fits at fixed chi one fit_purity runs, it warns once,
-        # at the line that called it, not at a line in hom.py.
+        # at the line that called it, not at a line in hom.py; the fit is that
+        # of the surviving rows alone.
         params = hom.HomModelParams(p=0.86, chi=0.07)
         data = hom.simulate_counts(params, THETAS, 1.2e6, 60.0, REP_RATE, seed=1)
         columns = ("two_fold_ab", "two_fold_cd", "two_fold_ad", "two_fold_bc")
@@ -288,6 +279,10 @@ class TestFitPurity:
             "excluding 1 rows with zero two-fold coincidences"
         ]
         assert record[0].filename == __file__
+        arrays = [f.name for f in dataclasses.fields(data) if f.name != "repetition_rate"]
+        survivors = dataclasses.replace(data, **{name: getattr(data, name)[~row] for name in arrays})
+        assert len(survivors.theta) == len(THETAS) - 1
+        assert hom.fit_purity(survivors) == result
 
     def test_noisy_recovery_within_errors(self):
         params = hom.HomModelParams(p=0.86, chi=0.07)
@@ -330,9 +325,9 @@ class TestFitPurity:
         params = hom.HomModelParams(p=0.86, chi=0.07)
         data = hom.simulate_counts(params, THETAS, 1.2e6, 60.0, REP_RATE, seed=seed)
         result = hom.fit_purity(data)
-        theta, p4, sigma, _ = hom.normalize_dataset(data, result.chi)
+        p4, sigma, *_ = hom._normalize(data, result.chi, np.ones(len(THETAS), dtype=bool))
         assert np.all(sigma > 0)
-        p, _ = _least_squares_fit(theta, p4, sigma, (0.8, result.chi))
+        p, _ = _least_squares_fit(data.theta, p4, sigma, (0.8, result.chi))
         assert p == pytest.approx(result.p, abs=1e-8)
 
     def test_pinned_chi(self):
@@ -364,7 +359,9 @@ class TestFitPurity:
         data = hom.simulate_counts(params, THETAS, 6e4, 60.0, REP_RATE, seed=1)
         assert np.sum(data.four_fold == 0) >= 3
         result = hom.fit_purity(data)
-        theta, p4, sigma, kept = hom.normalize_dataset(data, result.chi)
+        kept = np.ones(len(THETAS), dtype=bool)
+        p4, sigma, *_ = hom._normalize(data, result.chi, kept)
+        theta = data.theta
         model = hom.four_fold_probability(theta, hom.HomModelParams(result.p, result.chi))
         empty = data.four_fold[kept] == 0
         sigma[empty] = np.sqrt(model * _p4_per_count(data, kept, result.chi))[empty]
@@ -388,6 +385,29 @@ class TestFitPurity:
 
 
 class TestSimulateCounts:
+    @pytest.mark.parametrize(
+        "argument, value, message",
+        [
+            ("two_fold_mean", 0.0, "two_fold_mean must be finite and > 0, got 0.0"),
+            ("two_fold_mean", -5.0, "two_fold_mean must be finite and > 0, got -5.0"),
+            ("two_fold_mean", np.inf, "two_fold_mean must be finite and > 0, got inf"),
+            ("duration", 0.0, "duration must be finite and > 0, got 0.0"),
+            ("duration", np.nan, "duration must be finite and > 0, got nan"),
+            ("repetition_rate", np.nan, "repetition_rate must be finite and > 0, got nan"),
+            ("repetition_rate", -76e6, "repetition_rate must be finite and > 0, got -76000000.0"),
+            ("thetas", [0.0, np.nan, 0.5], "thetas must be finite, got nan"),
+            ("thetas", [0.0, -np.inf], "thetas must be finite, got -inf"),
+        ],
+    )
+    def test_bad_argument_named_before_any_arithmetic(self, argument, value, message):
+        arguments = dict(
+            thetas=THETAS, two_fold_mean=1e5, duration=30.0, repetition_rate=REP_RATE
+        )
+        arguments[argument] = value
+        params = hom.HomModelParams(p=0.8, chi=0.05)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            hom.simulate_counts(params, **arguments)
+
     def test_seed_determinism(self):
         params = hom.HomModelParams(p=0.8, chi=0.05)
         a = hom.simulate_counts(params, THETAS, 1e5, 30.0, REP_RATE, seed=7)
