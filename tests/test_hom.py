@@ -214,6 +214,38 @@ class TestNormalizeDataset:
         p4_scaled, *_ = hom._normalize(scaled, 0.0, self.KEPT)
         assert p4_scaled[0] == pytest.approx(p4_base[0] / 2, rel=1e-12)
 
+    def test_zero_twofold_row_excluded(self, monkeypatch):
+        # fit_purity warns once, at the caller, and normalizes only the rows
+        # whose accidental denominator is nonzero.
+        data = hom.simulate_counts(
+            hom.HomModelParams(p=0.86, chi=0.07),
+            np.array([0.1, 0.2, 0.5, 0.7]),
+            1e5,
+            10.0,
+            REP_RATE,
+            seed=0,
+        )
+        columns = ("two_fold_ab", "two_fold_cd", "two_fold_ad", "two_fold_bc")
+        data = dataclasses.replace(
+            data, **{name: getattr(data, name) * [1.0, 0.0, 1.0, 1.0] for name in columns}
+        )
+        normalized = []
+        original = hom._normalize
+
+        def spy(data, chi, kept):
+            normalized.append((kept.tolist(), original(data, chi, kept)))
+            return normalized[-1][1]
+
+        monkeypatch.setattr(hom, "_normalize", spy)
+        with pytest.warns(UserWarning, match="zero two-fold") as record:
+            hom.fit_purity(data)
+        assert len(record) == 1
+        assert record[0].filename == __file__
+        assert normalized
+        for kept, (p4, *_) in normalized:
+            assert kept == [True, False, True, True]
+            assert len(p4) == 3
+
     def test_sigma_positive_when_counts_present(self):
         _, sigma, *_ = hom._normalize(self._single_row(), 0.0, self.KEPT)
         assert sigma[0] > 0
