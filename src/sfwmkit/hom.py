@@ -253,6 +253,11 @@ def fit_purity(data: HomDataset):
     )
 
 
+# numpy's largest Poisson mean: Generator.poisson raises "lam value too large"
+# above the int64 maximum less ten of its square roots (9.2234e18).
+_POISSON_LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
+
 def simulate_counts(
     params: HomModelParams,
     thetas,
@@ -270,7 +275,10 @@ def simulate_counts(
     the simulated data recovers (p, chi) up to shot noise; noiseless=True
     skips the Poisson sampling and stores exact means.  two_fold_mean,
     duration [s] and repetition_rate [Hz] must be finite and > 0, and every
-    theta [rad] finite; a ValueError names the first that is not.
+    theta [rad] finite; a ValueError names the first that is not.  The
+    two-fold and four-fold means must lie below numpy's largest Poisson mean,
+    `_POISSON_LAM_MAX`, with or without noise; a ValueError names the
+    arguments behind a mean that does not, before any draw.
     """
     theta = np.asarray(thetas, dtype=float)
     for name, value in (
@@ -287,13 +295,25 @@ def simulate_counts(
     rd = repetition_rate * duration
     cc = np.cos(2.0 * params.chi) ** 2 * np.cos(2.0 * theta) ** 2
     mean_two = float(two_fold_mean)
+    if not mean_two < _POISSON_LAM_MAX:
+        raise ValueError(
+            f"two_fold_mean must be below {_POISSON_LAM_MAX:.5g}, numpy's largest "
+            f"Poisson mean, got {mean_two!r}"
+        )
     denominator = 2.0 * mean_two**2  # N_AB N_CD + N_AD N_BC at the means
-    mean_four = (
-        four_fold_probability(theta, params)
-        * 2.0
-        * denominator
-        / ((1.0 + cc) * rd)
-    )
+    with np.errstate(over="ignore", divide="ignore"):  # an unusable mean is named below
+        mean_four = (
+            four_fold_probability(theta, params)
+            * 2.0
+            * denominator
+            / ((1.0 + cc) * rd)
+        )
+    if not np.all(mean_four < _POISSON_LAM_MAX):
+        raise ValueError(
+            f"two_fold_mean {mean_two!r}, duration {float(duration)!r} and "
+            f"repetition_rate {float(repetition_rate)!r} give a four-fold Poisson mean "
+            f"of {float(np.max(mean_four))!r}, not below {_POISSON_LAM_MAX:.5g}"
+        )
     if noiseless:
         two = [np.full(n_rows, mean_two) for _ in range(4)]
         four = mean_four

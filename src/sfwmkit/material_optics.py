@@ -22,7 +22,7 @@ once: each brackets its root analytically and hands the bracket to
 ``_bracketed_root``, which raises ModeCutoffError unless every root converged
 strictly inside its bracket.  LP01 and HE11 bracket the transverse core
 number u below min(V, j01); the FSM lies between n_silica and the first pole
-of its characteristic function, found once per geometry.
+of its characteristic function, solved once per hole-to-cell radius ratio.
 
 ``chandrupatla``, a vectorised Chandrupatla root finder in plain numpy, is the
 one iterative root finder: the mode solvers, ``phasematch.solve_phasematch``'s
@@ -34,6 +34,7 @@ geometry parameters by implicit differentiation of the HE11 and FSM roots;
 the geometry fit builds its exact Jacobian from it.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -342,6 +343,17 @@ def _fsm_pole_char(x, rho):
     return y1(x) * j0(rho * x) - j1(x) * y0(rho * x)
 
 
+@functools.lru_cache(maxsize=64)
+def _fsm_pole(rho):
+    """x*, the first zero of _fsm_pole_char in (0, pi/(2(1 - rho))), for a float rho.
+
+    It depends on rho alone, and a profile build and the fit's Jacobian at
+    the same geometry ask for it in turn, so it is solved once per rho.
+    """
+    x_top = 0.5 * np.pi / (1.0 - rho)
+    return float(_bracketed_root(_fsm_pole_char, 1e-6, x_top, (rho,), "FSM pole"))
+
+
 def fsm_cladding_index_grid(wavelengths, geometry):
     """Unit-cell FSM cladding index over an array of wavelengths [m].
 
@@ -349,17 +361,16 @@ def fsm_cladding_index_grid(wavelengths, geometry):
     lies the first pole, at ks R = x*, the first zero of _fsm_pole_char;
     x* depends only on rho = r_hole/R and lies in (0, pi/(2(1 - rho)))
     (x*(1 - rho) rises from 0.82 to 1.56 as the fill goes from 0.001 to the
-    close-packing limit), so it is solved once per geometry, from x = 1e-6
-    where the cross product is large and negative.  The FSM bracket is then
+    close-packing limit), so `_fsm_pole` solves it once per rho, from
+    x = 1e-6 where the cross product is large and negative, and caches it.
+    The FSM bracket is then
     n_eff in (max(1, sqrt(n_si^2 - (x*/(R k0))^2)) + margin, n_si - margin).
     """
     wl = np.atleast_1d(np.asarray(wavelengths, dtype=float))
     n_si = silica_index(wl)
     k0_ = 2.0 * np.pi / wl
     r_hole, r_cell = unit_cell_radii(geometry)
-    rho = r_hole / r_cell
-    x_top = 0.5 * np.pi / (1.0 - rho)
-    x_pole = float(_bracketed_root(_fsm_pole_char, 1e-6, x_top, (rho,), "FSM pole"))
+    x_pole = _fsm_pole(float(r_hole / r_cell))
     margin = 1e-9 * (n_si - 1.0)
     lo = np.sqrt(np.maximum(n_si**2 - (x_pole / (r_cell * k0_)) ** 2, 1.0)) + margin
     return _bracketed_root(

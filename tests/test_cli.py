@@ -411,6 +411,28 @@ class TestExitCodes:
             (["--two-fold-mean", "0"], "two_fold_mean must be finite and > 0, got 0.0"),
             (["--theta-start", "nan"], "thetas must be finite, got nan"),
             (["--theta-stop", "inf"], "thetas must be finite, got nan"),
+            *(
+                (
+                    flags,
+                    "two_fold_mean must be below 9.2234e+18, numpy's largest Poisson mean, "
+                    f"got {flags[1]}",
+                )
+                for flags in (
+                    ["--two-fold-mean", "1e+200"],
+                    ["--two-fold-mean", "1e+200", "--noiseless"],
+                    ["--two-fold-mean", "1e+20"],
+                )
+            ),
+            (
+                ["--duration", "1e-300"],
+                "two_fold_mean 1200000.0, duration 1e-300 and repetition_rate 76000000.0 "
+                "give a four-fold Poisson mean of 3.789473684210526e+304, not below 9.2234e+18",
+            ),
+            (
+                ["--rep-rate", "1e-320"],
+                "two_fold_mean 1200000.0, duration 60.0 and repetition_rate 1e-320 "
+                "give a four-fold Poisson mean of inf, not below 9.2234e+18",
+            ),
         ],
     )
     def test_bad_hom_sim_number_exits_one(self, config_path, capsys, flags, message):

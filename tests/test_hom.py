@@ -440,6 +440,44 @@ class TestSimulateCounts:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             hom.simulate_counts(params, **arguments)
 
+    @pytest.mark.parametrize("noiseless", [False, True])
+    @pytest.mark.parametrize(
+        "arguments, message",
+        [
+            (dict(two_fold_mean=1e200), "two_fold_mean must be below 9.2234e+18"),
+            (dict(two_fold_mean=1e20), "two_fold_mean must be below 9.2234e+18"),
+            (
+                dict(duration=1e-300),
+                "two_fold_mean 100000.0, duration 1e-300 and repetition_rate 76000000.0 give "
+                "a four-fold Poisson mean of ",
+            ),
+            (
+                dict(repetition_rate=1e-320),
+                "two_fold_mean 100000.0, duration 30.0 and repetition_rate 1e-320 give "
+                "a four-fold Poisson mean of inf",
+            ),
+        ],
+    )
+    def test_mean_beyond_numpy_poisson_named_before_drawing(self, arguments, message, noiseless):
+        # Finite arguments whose Poisson means overflow or exceed what numpy
+        # can draw: a ValueError with the arguments, no OverflowError and no
+        # numpy warning (pytest turns a RuntimeWarning into an error).
+        kwargs = dict(thetas=THETAS, two_fold_mean=1e5, duration=30.0, repetition_rate=REP_RATE)
+        kwargs.update(arguments)
+        params = hom.HomModelParams(p=0.8, chi=0.05)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            hom.simulate_counts(params, noiseless=noiseless, **kwargs)
+
+    def test_largest_poisson_mean_is_drawn(self):
+        # The bound is numpy's own: just below it the two-fold counts are
+        # drawn, at it the argument is named.
+        params = hom.HomModelParams(p=0.8, chi=0.05)
+        largest = np.nextafter(hom._POISSON_LAM_MAX, 0.0)
+        data = hom.simulate_counts(params, THETAS, largest, 1e10, 1e12, seed=3)
+        assert np.all(data.two_fold_ab > 0.9 * largest)
+        with pytest.raises(ValueError, match="two_fold_mean must be below"):
+            hom.simulate_counts(params, THETAS, hom._POISSON_LAM_MAX, 1e10, 1e12)
+
     def test_seed_determinism(self):
         params = hom.HomModelParams(p=0.8, chi=0.05)
         a = hom.simulate_counts(params, THETAS, 1e5, 30.0, REP_RATE, seed=7)

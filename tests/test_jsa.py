@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,20 @@ from slope_reference import central_slopes
 def _normalized_jsa(amplitude, grid):
     norm = np.sqrt(np.sum(np.abs(amplitude) ** 2) * grid.signal_spacing * grid.idler_spacing)
     return jsamod.JointSpectralAmplitude(grid=grid, amplitude=amplitude / norm)
+
+
+def _mesh_product(pump, fiber, grid):
+    """The joint amplitude evaluated once on full 2-D meshes and normalized."""
+    om_s, om_i = np.meshgrid(grid.signal_omegas, grid.idler_omegas, indexing="ij")
+    product = jsamod.pump_function(om_s + om_i, pump) * jsamod.phasematch_function(
+        om_s, om_i, fiber, pump.peak_power
+    )
+    return _normalized_jsa(product, grid).amplitude
+
+
+def _same_bytes(a, b):
+    # Bytes, not values: -0.0 == 0.0, but a signed zero shows in the CLI output.
+    return a.shape == b.shape and a.view(np.uint8).tobytes() == b.view(np.uint8).tobytes()
 
 
 def _paper_jsa(pump, fiber):
@@ -173,11 +188,41 @@ class TestBuildJsa:
         # must be the same bits as the product evaluated on full 2-D meshes.
         grid = jsamod.adaptive_grid(pump_40cm, fiber_40cm, n_signal=96, n_idler=64)
         jsa = jsamod.build_jsa(pump_40cm, fiber_40cm, grid=grid)
-        om_s, om_i = np.meshgrid(grid.signal_omegas, grid.idler_omegas, indexing="ij")
-        product = jsamod.pump_function(om_s + om_i, pump_40cm) * jsamod.phasematch_function(
-            om_s, om_i, fiber_40cm, pump_40cm.peak_power
-        )
-        assert np.array_equal(jsa.amplitude, _normalized_jsa(product, grid).amplitude)
+        assert _same_bytes(jsa.amplitude, _mesh_product(pump_40cm, fiber_40cm, grid))
+
+    @pytest.mark.parametrize("block_points", [None, 1])
+    @pytest.mark.parametrize(
+        "fiber_name, peak_power",
+        [("fiber_40cm", 0.0), ("fiber_no_override", 0.0), ("fiber_40cm", 40.0)],
+    )
+    def test_blocks_are_product_on_meshes(
+        self, pump_40cm, fiber_name, peak_power, block_points, request, monkeypatch
+    ):
+        # Blocks of 127 signal rows at 257 idler columns, so 300 rows end in a
+        # partial block, or of one row with block_points=1: the fill is the
+        # same bits as the one-shot mesh product, signed zeros included, with
+        # dn from the override or from the LP01 series and with the nonlinear
+        # phase of a nonzero peak power.
+        if block_points is not None:
+            monkeypatch.setattr(jsamod, "_BLOCK_POINTS", block_points)
+        fiber = request.getfixturevalue(fiber_name)
+        pump = dataclasses.replace(pump_40cm, peak_power=peak_power)
+        grid = jsamod.adaptive_grid(pump, fiber, 300, 257)
+        jsa = jsamod.build_jsa(pump, fiber, grid=grid)
+        assert _same_bytes(jsa.amplitude, _mesh_product(pump, fiber, grid))
+
+    def test_fill_peak_memory_near_the_amplitude(self, pump_40cm, fiber_40cm):
+        # The fill's temporaries are block-sized, so the peak is the amplitude
+        # and the norm's one real temporary, 1.5x its 16 MiB at 1024^2; the
+        # whole mesh at once takes 4.5x.
+        grid = jsamod.adaptive_grid(pump_40cm, fiber_40cm, 1024, 1024)
+        tracemalloc.start()
+        try:
+            jsa = jsamod.build_jsa(pump_40cm, fiber_40cm, grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * jsa.amplitude.nbytes
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(
